@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -85,6 +86,35 @@ def test_train_dqn_writes_network(tmp_path, capsys):
     # the artifact loads back through decode
     rc = main(["decode", *SMALL, "--model", str(out), "--error", "3"])
     assert rc in (0, 1)
+
+
+# SHA-256 of the .qtab that `train-q` writes for each reward variant on the
+# small code (seed 5, 3000 episodes).  A change to the episode loop, the
+# rewards, the start-state sets or the RNG stream shows up here.
+QTAB_DIGESTS = {
+    ("basic", None):
+        "f6007f30149788ec4598224319ec32c26a58a07fefe655b7efdb116a9db418cf",
+    ("truncated", 2):
+        "c934fdb5a95cd30d83b7362489a0983eea290aadcac4b810ccd52215af1471e4",
+    ("feedback", None):
+        "04e3f0f15f796156f87fc7027fe63caa9f15da293913d9d2351bd8f1bea5d383",
+    ("feedback_miscorrect", None):
+        "42348942f1ddcb94664fc78b8264ce0679030b1d3a4efc72dfa9a1d060b6cc0c",
+    ("bounded_feedback", 3):
+        "8474ff291aa4d2bf519fa39df537bcb942a3631d4f82a6961b4a56b43e6d205c",
+    ("bounded_feedback_miscorrect", 3):
+        "524cffb3c31a5886548f7f789afaf3e87a8562e0eac62539a82693b73a6f4c1d",
+}
+
+
+@pytest.mark.parametrize("variant,w", sorted(QTAB_DIGESTS, key=str))
+def test_train_q_artifact_digest(tmp_path, variant, w):
+    out = tmp_path / "v.qtab"
+    radius = ["--w", str(w)] if w else []
+    rc = main(["train-q", *SMALL, "--variant", variant, *radius,
+               "--episodes", "3000", "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QTAB_DIGESTS[variant, w]
 
 
 # ---------------------------------------------------------------------------
