@@ -19,10 +19,10 @@ cli           the ``synq`` command-line front end
 """
 
 from .channel import BscConfig, frame_rng, sample_error, sample_error_bits
-from .codes import (TANNER_SPEC, CodeParams, ParityCheckMatrix, QcLdpcSpec,
-                    ball_size, ball_syndrome_weights, bits_to_int,
-                    build_qc_ldpc, hamming_ball_syndromes, int_to_bits,
-                    load_alist, random_parity_check, save_alist, support)
+from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_size,
+                    ball_syndrome_weights, bits_to_int, build_qc_ldpc,
+                    hamming_ball_syndromes, int_to_bits, load_alist,
+                    random_parity_check, save_alist, support)
 from .decoders import (BeamConfig, BitFlipConfig, CandidatePath, DecodeResult,
                        action_list_decode, automorphism_list_decode,
                        bf_decode_batch, bit_flipping_decode, feedback_decode,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BscConfig", "frame_rng", "sample_error", "sample_error_bits",
-    "TANNER_SPEC", "CodeParams", "ParityCheckMatrix", "QcLdpcSpec",
+    "TANNER_SPEC", "ParityCheckMatrix", "QcLdpcSpec",
     "ball_size", "ball_syndrome_weights", "bits_to_int", "build_qc_ldpc",
     "hamming_ball_syndromes", "int_to_bits", "load_alist",
     "random_parity_check", "save_alist", "support",

@@ -19,12 +19,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import analysis, automorphism, decoders, neural, sim, tabular
-from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, bits_to_int,
-                    build_qc_ldpc, hamming_ball_syndromes, load_alist,
-                    save_alist)
+from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, build_qc_ldpc,
+                    hamming_ball_syndromes, load_alist, save_alist)
 from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
 
 
@@ -33,7 +30,7 @@ from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
 # ---------------------------------------------------------------------------
 
 
-def _merge_config(args, keys) -> dict:
+def _config(args, keys=()) -> dict:
     """File config (if any) overridden by explicitly supplied flags."""
     cfg = {}
     if getattr(args, "config", None):
@@ -43,6 +40,11 @@ def _merge_config(args, keys) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if getattr(args, "qc", None):
+        cfg["code"] = list(args.qc)
+    if getattr(args, "code", None):
+        cfg["code"] = args.code
+    cfg.setdefault("code", "tanner")
     return cfg
 
 
@@ -62,16 +64,6 @@ def _code_args(sub):
     sub.add_argument("--qc", type=int, nargs=5, metavar=("P", "J", "K", "A", "B"),
                      help="quasi-cyclic parameters p j k_blocks a b")
     sub.add_argument("--config", help="JSON configuration file")
-
-
-def _cfg_code(args) -> dict:
-    cfg = _merge_config(args, ())
-    if getattr(args, "qc", None):
-        cfg["code"] = list(args.qc)
-    if getattr(args, "code", None):
-        cfg["code"] = args.code
-    cfg.setdefault("code", "tanner")
-    return cfg
 
 
 def _write_sidecar(out_path: str, cfg: dict) -> None:
@@ -117,29 +109,33 @@ def _parse_error_pattern(text: str, n: int) -> int:
     return e
 
 
-def _build_sets(H, variant, w, tau, bf_max_iter) -> SyndromeSets:
-    bf = decoders.BitFlipConfig(tau=tau, max_iter=bf_max_iter)
-    if variant in ("basic",):
-        return SyndromeSets()
-    if variant == "truncated":
-        return SyndromeSets(ball=hamming_ball_syndromes(H, w))
-    if variant in ("feedback", "feedback_miscorrect"):
-        cls = analysis.classify_syndromes(H, bf)
-        correct, fail, misc = cls.status_sets()
-        return SyndromeSets(correct=correct, fail=fail, misc=misc)
-    bs = analysis.bounded_sets(H, w, bf)
-    return SyndromeSets(ball=bs["ball"], bfail=bs["bfail"],
-                        bcorrect=bs["bcorrect"], bmisc=bs["bmisc"])
+def _bf_config(cfg) -> decoders.BitFlipConfig:
+    return decoders.BitFlipConfig(tau=int(cfg.get("tau", 2)),
+                                  max_iter=int(cfg.get("bf_max_iter", 30)))
 
 
-def _sampler_for(H, env, cfg):
-    variant = env.cfg.variant
-    if variant in ("feedback", "feedback_miscorrect"):
-        return tabular.SetSampler(sorted(env.sets.fail))
-    if variant in ("bounded_feedback", "bounded_feedback_miscorrect"):
-        return tabular.SetSampler(sorted(env.sets.bfail))
-    w = cfg.get("sample_w") or env.cfg.w or 1
-    return tabular.BallSampler(H, int(w))
+def _train_env(args, keys):
+    """The config, and the training MDP it names with its sets and sampler."""
+    cfg = _config(args, keys)
+    H = _resolve_code(cfg)
+    mdp_cfg = MdpConfig(L=int(cfg.get("L", 10)), gamma=float(cfg.get("gamma", 0.9)),
+                        variant=cfg.get("variant", MdpConfig.variant),
+                        w=cfg.get("w"))
+    bf = _bf_config(cfg)
+    need = mdp_cfg.set_names
+    sets = {}
+    if need & {"correct", "fail", "misc"}:
+        status = analysis.classify_syndromes(H, bf).status_sets()
+        sets.update(zip(("correct", "fail", "misc"), status))
+    if need & {"bcorrect", "bfail", "bmisc"}:
+        sets.update(analysis.bounded_sets(H, mdp_cfg.w, bf))
+    elif "ball" in need:
+        sets["ball"] = hamming_ball_syndromes(H, mdp_cfg.w)
+    env = SyndromeMdp(H, mdp_cfg, SyndromeSets(**sets))
+    if env.start_states is not None:
+        return cfg, env, tabular.SetSampler(env.start_states)
+    w = cfg.get("sample_w") or mdp_cfg.w or 1
+    return cfg, env, tabular.BallSampler(H, int(w))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def _sampler_for(H, env, cfg):
 
 
 def cmd_build_code(args) -> int:
-    cfg = _cfg_code(args)
+    cfg = _config(args)
     H = _resolve_code(cfg)
     print(f"H: {H.m} x {H.n}, rank {H.rank}, k {H.k}, hash {H.code_hash[:12]}")
     if args.out:
@@ -163,15 +159,7 @@ _TRAIN_KEYS = ("variant", "w", "gamma", "L", "alpha", "episodes", "eps_max",
 
 
 def cmd_train_q(args) -> int:
-    cfg = _cfg_code(args)
-    cfg.update({k: v for k, v in _merge_config(args, _TRAIN_KEYS).items()})
-    H = _resolve_code(cfg)
-    mdp_cfg = MdpConfig(L=int(cfg.get("L", 10)), gamma=float(cfg.get("gamma", 0.9)),
-                        variant=cfg.get("variant", "basic"),
-                        w=cfg.get("w"))
-    sets = _build_sets(H, mdp_cfg.variant, mdp_cfg.w, int(cfg.get("tau", 2)),
-                       int(cfg.get("bf_max_iter", 30)))
-    env = SyndromeMdp(H, mdp_cfg, sets)
+    cfg, env, sampler = _train_env(args, _TRAIN_KEYS)
     tcfg = tabular.TrainConfig(
         episodes=int(cfg.get("episodes", 100_000)),
         alpha=float(cfg.get("alpha", 0.1)),
@@ -179,7 +167,7 @@ def cmd_train_q(args) -> int:
         eps_min=float(cfg.get("eps_min", 0.05)),
         seed=int(cfg.get("seed", 0)),
     )
-    Q = tabular.train_q(env, tcfg, _sampler_for(H, env, cfg))
+    Q = tabular.train_q(env, tcfg, sampler)
     tabular.save_qtable(Q, args.out)
     if args.text_out:
         tabular.save_qtable_text(Q, args.text_out)
@@ -193,14 +181,7 @@ _DQN_KEYS = _TRAIN_KEYS + ("hidden", "batch", "lr", "buffer", "sync_every",
 
 
 def cmd_train_dqn(args) -> int:
-    cfg = _cfg_code(args)
-    cfg.update({k: v for k, v in _merge_config(args, _DQN_KEYS).items()})
-    H = _resolve_code(cfg)
-    mdp_cfg = MdpConfig(L=int(cfg.get("L", 10)), gamma=float(cfg.get("gamma", 0.9)),
-                        variant=cfg.get("variant", "basic"), w=cfg.get("w"))
-    sets = _build_sets(H, mdp_cfg.variant, mdp_cfg.w, int(cfg.get("tau", 2)),
-                       int(cfg.get("bf_max_iter", 30)))
-    env = SyndromeMdp(H, mdp_cfg, sets)
+    cfg, env, sampler = _train_env(args, _DQN_KEYS)
     dcfg = neural.DqnConfig(
         episodes=int(cfg.get("episodes", 100_000)),
         hidden=int(cfg.get("hidden", 512)),
@@ -213,7 +194,7 @@ def cmd_train_dqn(args) -> int:
         optimizer=cfg.get("optimizer", "adam"),
         seed=int(cfg.get("seed", 0)),
     )
-    net = neural.train_dqn(env, dcfg, _sampler_for(H, env, cfg))
+    net = neural.train_dqn(env, dcfg, sampler)
     neural.save_network(net, args.out)
     if args.text_out:
         neural.save_network_text(net, args.text_out)
@@ -225,27 +206,15 @@ def cmd_train_dqn(args) -> int:
 def _make_decoder(kind, model, H, cfg):
     beam = decoders.BeamConfig(k=int(cfg.get("k", 5)),
                                d_max=int(cfg.get("d_max", 10)))
-    bf = decoders.BitFlipConfig(tau=int(cfg.get("tau", 2)),
-                                max_iter=int(cfg.get("bf_max_iter", 30)))
-    if kind == "greedy":
-        return sim.GreedyDecoder(model, H, beam.d_max)
-    if kind == "list":
-        return sim.BeamDecoder(model, H, beam)
-    if kind == "bf":
-        return sim.BfDecoder(H, bf)
-    if kind == "feedback":
-        return sim.FeedbackDecoder(model, H, bf, beam.d_max)
-    if kind == "auto-list":
-        return sim.AutomorphismDecoder(model, H, beam)
-    raise ValueError(f"unknown decoder kind {kind!r}")
+    bf = _bf_config(cfg)
+    return sim.DECODERS[kind](model, H, beam, bf)
 
 
 _DECODE_KEYS = ("k", "d_max", "tau", "bf_max_iter")
 
 
 def cmd_decode(args) -> int:
-    cfg = _cfg_code(args)
-    cfg.update(_merge_config(args, _DECODE_KEYS))
+    cfg = _config(args, _DECODE_KEYS)
     H = _resolve_code(cfg)
     model = _load_model(args.model, H) if args.model else decoders.ZeroQ(H.n)
     e = _parse_error_pattern(args.error, H.n)
@@ -273,8 +242,7 @@ _SIM_KEYS = _DECODE_KEYS + ("rhos", "max_frames", "target_errors", "seed",
 
 
 def cmd_simulate(args) -> int:
-    cfg = _cfg_code(args)
-    cfg.update(_merge_config(args, _SIM_KEYS))
+    cfg = _config(args, _SIM_KEYS)
     if isinstance(cfg.get("rhos"), str):
         cfg["rhos"] = [float(v) for v in cfg["rhos"].split(",")]
     H = _resolve_code(cfg)
@@ -300,11 +268,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enum_failures(args) -> int:
-    cfg = _cfg_code(args)
-    cfg.update(_merge_config(args, ("tau", "bf_max_iter", "w_max", "workers")))
+    cfg = _config(args, ("tau", "bf_max_iter", "w_max", "workers"))
     H = _resolve_code(cfg)
-    bf = decoders.BitFlipConfig(tau=int(cfg.get("tau", 2)),
-                                max_iter=int(cfg.get("bf_max_iter", 30)))
+    bf = _bf_config(cfg)
     enum = analysis.enumerate_failures(
         H, bf, w_max=int(cfg.get("w_max", 2)),
         workers=int(cfg.get("workers", 1)), checkpoint=args.checkpoint,
@@ -420,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _code_args(p)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
-                   choices=["greedy", "list", "bf", "feedback", "auto-list"])
+                   choices=list(sim.DECODERS))
     p.add_argument("--error", default="",
                    help="1-based positions '3,17', hex '0x11', or '' for none")
     p.add_argument("--k", type=int)
@@ -433,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     _code_args(p)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
-                   choices=["greedy", "list", "bf", "feedback", "auto-list"])
+                   choices=list(sim.DECODERS))
     p.add_argument("--rhos")
     p.add_argument("--max-frames", dest="max_frames", type=int)
     p.add_argument("--target-errors", dest="target_errors", type=int)

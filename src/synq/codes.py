@@ -156,25 +156,6 @@ class ParityCheckMatrix:
         return f"ParityCheckMatrix({self.m}x{self.n}, rank={self.rank})"
 
 
-def syndrome(H: ParityCheckMatrix, pattern: int) -> int:
-    return H.syndrome(pattern)
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Declared code parameters; d_min is metadata and is not verified."""
-
-    n: int
-    k: int
-    d_min: int | None = None
-
-    @property
-    def t(self) -> int:
-        if self.d_min is None:
-            raise ValueError("t requires d_min")
-        return (self.d_min - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # quasi-cyclic LDPC construction
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ score ties toward shorter paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -299,16 +300,19 @@ def automorphism_list_decode(
     if H.qc is None:
         raise ValueError("automorphism decoding needs a quasi-cyclic code")
     spec = H.qc
-    if shifts is None:
-        shifts = range(spec.p)
+    shifts = range(spec.p) if shifts is None else tuple(shifts)
+    s = H.syndrome(y)
+    if s == 0 and shifts:
+        # every shifted copy is a codeword too and decodes to no flips
+        return action_list_decode(qsrc, 0, H, cfg)
     best: tuple[int, int, DecodeResult] | None = None
     for delta in shifts:
-        pair = am.shift_pair(spec, delta)
-        y_perm = pair.var.apply_int(y)
+        perm, inverse = _shift_perms(spec, delta)
+        y_perm = perm.apply_int(y)
         res = action_list_decode(qsrc, H.syndrome(y_perm), H, cfg)
         if not res.converged:
             continue
-        flips = pair.var.inverse().apply_int(res.flips)
+        flips = inverse.apply_int(res.flips)
         if H.syndrome(y ^ flips) != 0:
             raise AssertionError("pulled-back flip set is not a valid correction")
         cand = DecodeResult(True, flips, 0, res.steps, score=res.score, path=res.path)
@@ -316,5 +320,12 @@ def automorphism_list_decode(
         if best is None or key < best[:2]:
             best = (key[0], key[1], cand)
     if best is None:
-        return DecodeResult(False, 0, H.syndrome(y), 0)
+        return DecodeResult(False, 0, s, 0)
     return best[2]
+
+
+@lru_cache(maxsize=None)
+def _shift_perms(spec, delta: int):
+    """The variable-side permutation of the cyclic shift by delta, and its inverse."""
+    perm = am.shift_pair(spec, delta).var
+    return perm, perm.inverse()

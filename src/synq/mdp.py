@@ -3,45 +3,52 @@
 States are length-m syndromes (packed ints); action a flips code bit a, so
 the deterministic transition is s' = s XOR h_a with h_a the a-th column of
 H.  Episodes are capped at L steps.  Rewards are step-local functions of
-the successor syndrome; all variants pay -1/L per step, add +1 on entering
-the variant's success set, and subtract 1 on entering its penalty set:
+the successor syndrome: every step pays -1/L, and the reward variant (one
+row of `_VARIANTS`) names the syndromes that add +1 (success) or subtract 1
+(penalty) and the set start states are drawn from.
 
-  basic                       success {0}
-  truncated(w)                success {0}, penalty outside S(w)
-  feedback                    success outside S_f
-  feedback_miscorrect         success S_c, penalty S_m
-  bounded_feedback(w)         success S(w) \\ BS_f(w), penalty outside S(w)
-  bounded_feedback_miscorrect success BS_c(w), penalty BS_m(w) or outside S(w)
+S(w) is the weight-w syndrome ball (`ball`); S_c/S_f/S_m (`correct`,
+`fail`, `misc`) classify the syndromes an inner decoder corrects / fails
+on / miscorrects, and BS_* (`bcorrect`, `bfail`, `bmisc`) are the same
+sets restricted to S(w).
 
-S(w) is the weight-w syndrome ball; S_c/S_f/S_m classify the syndromes an
-inner decoder corrects / fails on / miscorrects, and BS_* are the same sets
-restricted to S(w).
-
-Episode termination defines the tabulated state space.  The basic variant
-ends only at the all-zero syndrome; the feedback variants end on leaving
-S_f (their state space is the failure set).  The truncated and bounded
-variants end at their success states *and* on any transition out of S(w):
-the outside is one absorbing penalty sink, so the state space stays exactly
-S(w) instead of growing with every excursion the behaviour policy takes.
+Episode termination defines the tabulated state space: an episode ends on
+entering a success or a penalty syndrome, so the truncated and bounded
+variants treat the outside of S(w) as one absorbing penalty sink and their
+state space stays S(w) instead of growing with every excursion the
+behaviour policy takes.  Where a variant draws its start states from a
+set, a syndrome outside that set and outside both reward sets cannot be
+scored: it ends the episode and `reward` raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .codes import ParityCheckMatrix
 
-VARIANTS = (
-    "basic",
-    "truncated",
-    "feedback",
-    "feedback_miscorrect",
-    "bounded_feedback",
-    "bounded_feedback_miscorrect",
-)
 
-_NEEDS_W = {"truncated", "bounded_feedback", "bounded_feedback_miscorrect"}
+class _Variant(NamedTuple):
+    success: tuple[str, ...]  # pays +1 and ends the episode
+    penalty: tuple[str, ...]  # pays -1 and ends the episode; tested first
+    start: str | None         # start states; None: errors of weight <= w
+    needs_w: bool
+
+
+# A set is a SyndromeSets field or "zero" ({0}), complemented by a leading
+# "~"; the success and penalty sets are unions of theirs.
+_VARIANTS = {
+    "basic": _Variant(("zero",), (), None, False),
+    "truncated": _Variant(("zero",), ("~ball",), None, True),
+    "feedback": _Variant(("~fail",), (), "fail", False),
+    "feedback_miscorrect": _Variant(("correct",), ("misc",), "fail", False),
+    "bounded_feedback": _Variant(("~bfail",), ("~ball",), "bfail", True),
+    "bounded_feedback_miscorrect":
+        _Variant(("bcorrect",), ("~ball", "bmisc"), "bfail", True),
+}
+
+VARIANTS = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -56,20 +63,23 @@ class MdpConfig:
             raise ValueError("episode cap L must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.variant not in VARIANTS:
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown reward variant {self.variant!r}")
-        if self.variant in _NEEDS_W and (self.w is None or self.w < 1):
+        if _VARIANTS[self.variant].needs_w and (self.w is None or self.w < 1):
             raise ValueError(f"variant {self.variant!r} needs a ball radius w >= 1")
+
+    @property
+    def set_names(self) -> frozenset[str]:
+        """The SyndromeSets fields this variant reads."""
+        row = _VARIANTS[self.variant]
+        terms = row.success + row.penalty + (row.start or "zero",)
+        return frozenset(t.lstrip("~") for t in terms) - {"zero"}
 
 
 @dataclass(frozen=True)
 class SyndromeSets:
-    """Syndrome sets the reward variants test membership against.
-
-    Only the fields a variant actually uses need to be present; `ball` is
-    S(w), `fail`/`correct`/`misc` are the full-space inner-decoder sets, and
-    the `b*` fields are their restrictions to the ball.
-    """
+    """Syndrome sets the variants test membership against, named as in the
+    module docstring; only the fields a variant reads need to be present."""
 
     ball: frozenset[int] | None = None
     fail: frozenset[int] | None = None
@@ -84,10 +94,42 @@ EMPTY_SETS = SyndromeSets()
 
 
 def _need(sets: SyndromeSets, name: str) -> frozenset[int]:
+    if name == "zero":
+        return frozenset({0})
     value = getattr(sets, name)
     if value is None:
         raise ValueError(f"reward variant requires syndrome set {name!r}")
     return value
+
+
+def _union(sets: SyndromeSets, terms) -> tuple[frozenset[int], bool]:
+    """The union of `terms` as (F, negated): s is in it iff (s in F) != negated."""
+    inside = [_need(sets, t) for t in terms if t[0] != "~"]
+    outside = [_need(sets, t[1:]) for t in terms if t[0] == "~"]
+    if len(inside) + len(outside) == 1:
+        return (inside or outside)[0], bool(outside)
+    if not outside:
+        return frozenset().union(*inside), False
+    return frozenset.intersection(*outside).difference(*inside), True
+
+
+def _scorer(cfg: MdpConfig, sets: SyndromeSets):
+    """s -> (reward, terminal) for the variant; reward None when unclassified."""
+    row = _VARIANTS[cfg.variant]
+    lose, lose_out = _union(sets, row.penalty)
+    win, win_out = _union(sets, row.success)
+    live, live_out = _union(sets, (row.start,)) if row.start else (frozenset(), True)
+    step = -1.0 / cfg.L
+    lost, won = (step - 1.0, True), (step + 1.0, True)
+    going, stuck = (step, False), (None, True)
+
+    def score(s: int):
+        if (s in lose) != lose_out:
+            return lost
+        if (s in win) != win_out:
+            return won
+        return going if (s in live) != live_out else stuck
+    return score
 
 
 def transition(s: int, a: int, H: ParityCheckMatrix) -> int:
@@ -97,52 +139,20 @@ def transition(s: int, a: int, H: ParityCheckMatrix) -> int:
     return s ^ H.cols_int[a]
 
 
+def _scored(r: float | None) -> float:
+    if r is None:
+        raise ValueError("syndrome outside the classified sets")
+    return r
+
+
 def reward(cfg: MdpConfig, sets: SyndromeSets, s_next: int) -> float:
     """Step reward for arriving at syndrome s_next."""
-    step = -1.0 / cfg.L
-    v = cfg.variant
-    if v == "basic":
-        return step + 1.0 if s_next == 0 else step
-    if v == "truncated":
-        if s_next == 0:
-            return step + 1.0
-        return step if s_next in _need(sets, "ball") else step - 1.0
-    if v == "feedback":
-        return step if s_next in _need(sets, "fail") else step + 1.0
-    if v == "feedback_miscorrect":
-        if s_next in _need(sets, "correct"):
-            return step + 1.0
-        if s_next in _need(sets, "fail"):
-            return step
-        if s_next in _need(sets, "misc"):
-            return step - 1.0
-        raise ValueError("syndrome outside the classified sets")
-    if v == "bounded_feedback":
-        if s_next not in _need(sets, "ball"):
-            return step - 1.0
-        return step if s_next in _need(sets, "bfail") else step + 1.0
-    # bounded_feedback_miscorrect
-    if s_next not in _need(sets, "ball"):
-        return step - 1.0
-    if s_next in _need(sets, "bcorrect"):
-        return step + 1.0
-    if s_next in _need(sets, "bfail"):
-        return step
-    if s_next in _need(sets, "bmisc"):
-        return step - 1.0
-    raise ValueError("syndrome inside ball but outside the bounded sets")
+    return _scored(_scorer(cfg, sets)(s_next)[0])
 
 
 def is_terminal(cfg: MdpConfig, sets: SyndromeSets, s: int) -> bool:
     """Whether syndrome s ends an episode (success state or penalty sink)."""
-    v = cfg.variant
-    if v == "basic":
-        return s == 0
-    if v == "truncated":
-        return s == 0 or s not in _need(sets, "ball")
-    if v in ("feedback", "feedback_miscorrect"):
-        return s not in _need(sets, "fail")
-    return s not in _need(sets, "bfail")
+    return _scorer(cfg, sets)(s)[1]
 
 
 class Step(NamedTuple):
@@ -154,36 +164,56 @@ class Step(NamedTuple):
 
 
 class SyndromeMdp:
-    """Environment bundle: parity checks, episode/reward config, syndrome sets."""
+    """Parity checks, episode/reward config and syndrome sets; `start_states`
+    is the set start states are drawn from, or None for low-weight errors."""
 
     def __init__(self, H: ParityCheckMatrix, cfg: MdpConfig,
                  sets: SyndromeSets = EMPTY_SETS):
         self.H = H
         self.cfg = cfg
         self.sets = sets
+        self._score = _scorer(cfg, sets)
+        start = _VARIANTS[cfg.variant].start
+        self.start_states = _need(sets, start) if start else None
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
         s2 = transition(s, a, self.H)
-        return s2, reward(self.cfg, self.sets, s2), is_terminal(self.cfg, self.sets, s2)
+        r, terminal = self._score(s2)
+        return s2, _scored(r), terminal
 
     def is_terminal(self, s: int) -> bool:
-        return is_terminal(self.cfg, self.sets, s)
+        return self._score(s)[1]
 
 
-def episode(env: SyndromeMdp, s0: int, policy: Callable[[int], int]) -> list[Step]:
-    """Roll out at most L steps from s0; empty when s0 is already terminal."""
-    steps: list[Step] = []
+def rollout(env: SyndromeMdp, s0: int,
+            policy: Callable[[int], int]) -> Iterator[Step]:
+    """Yield the steps of one episode from s0: at most L, none when s0 is terminal."""
     if env.is_terminal(s0):
-        return steps
+        return
     s = s0
     for _ in range(env.cfg.L):
         a = policy(s)
         s2, r, terminal = env.step(s, a)
-        steps.append(Step(s, a, r, s2, terminal))
-        s = s2
+        yield Step(s, a, r, s2, terminal)
         if terminal:
-            break
-    return steps
+            return
+        s = s2
+
+
+def epsilon_greedy(rng, eps: float, n: int,
+                   greedy: Callable[[int], int]) -> Callable[[int], int]:
+    """With probability eps a uniform action, else greedy(s); each call draws
+    rng.random(), then rng.integers(n) only when exploring."""
+    def policy(s: int) -> int:
+        if rng.random() < eps:
+            return int(rng.integers(n))
+        return greedy(s)
+    return policy
+
+
+def episode(env: SyndromeMdp, s0: int, policy: Callable[[int], int]) -> list[Step]:
+    """Roll out at most L steps from s0; empty when s0 is already terminal."""
+    return list(rollout(env, s0, policy))
 
 
 def finite_horizon_q(j: int, r: float = 1.0, p: float = 0.1,

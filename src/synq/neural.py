@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import int_to_bits
-from .mdp import SyndromeMdp
-from .tabular import epsilon_at
+from .mdp import Step, SyndromeMdp, epsilon_greedy, rollout
+from .tabular import epsilon_at, parse_model_file
 
 _MAGIC = b"QNET"
 _VERSION = 1
@@ -122,13 +122,7 @@ class MlpNetwork:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: int
-    a: int
-    r: float
-    s_next: int
-    terminal: bool
+Transition = Step  # replay entries are the rollout's steps
 
 
 class ReplayBuffer:
@@ -322,40 +316,33 @@ def train_dqn(
            if cfg.optimizer == "adam" else Sgd(params, cfg.lr))
     buffer = ReplayBuffer(cfg.buffer_capacity)
     cache = _StateCache(m)
-    gamma, L = env.cfg.gamma, env.cfg.L
+    gamma = env.cfg.gamma
     grad_steps = 0
+
+    def greedy(s):
+        return int(np.argmax(primary.forward(cache.get(s))))
 
     for ep in range(cfg.episodes):
         eps = epsilon_at(ep, cfg.eps_max, cfg.eps_min, cfg.episodes)
-        s = sampler(rng)
-        if not env.is_terminal(s):
-            for _ in range(L):
-                if rng.random() < eps:
-                    a = int(rng.integers(n))
-                else:
-                    a = int(np.argmax(primary.forward(cache.get(s))))
-                s2, r, terminal = env.step(s, a)
-                buffer.push(Transition(s, a, r, s2, terminal))
-                if len(buffer) >= cfg.batch:
-                    batch = buffer.sample(rng, cfg.batch)
-                    S = np.stack([cache.get(tr.s) for tr in batch])
-                    S2 = np.stack([cache.get(tr.s_next) for tr in batch])
-                    A = np.array([tr.a for tr in batch])
-                    R = np.array([tr.r for tr in batch])
-                    T = np.array([tr.terminal for tr in batch])
-                    loss, grads = dqn_loss(primary, target, S, A, R, S2, T, gamma)
-                    if not np.isfinite(loss):
-                        raise RuntimeError(
-                            f"training diverged: non-finite loss at episode {ep}, "
-                            f"gradient step {grad_steps}"
-                        )
-                    opt.step(params, grads)
-                    grad_steps += 1
-                    if grad_steps % cfg.sync_every == 0:
-                        target = primary.copy()
-                s = s2
-                if terminal:
-                    break
+        for tr in rollout(env, sampler(rng), epsilon_greedy(rng, eps, n, greedy)):
+            buffer.push(tr)
+            if len(buffer) >= cfg.batch:
+                batch = buffer.sample(rng, cfg.batch)
+                S = np.stack([cache.get(tr.s) for tr in batch])
+                S2 = np.stack([cache.get(tr.s_next) for tr in batch])
+                A = np.array([tr.a for tr in batch])
+                R = np.array([tr.r for tr in batch])
+                T = np.array([tr.terminal for tr in batch])
+                loss, grads = dqn_loss(primary, target, S, A, R, S2, T, gamma)
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"training diverged: non-finite loss at episode {ep}, "
+                        f"gradient step {grad_steps}"
+                    )
+                opt.step(params, grads)
+                grad_steps += 1
+                if grad_steps % cfg.sync_every == 0:
+                    target = primary.copy()
         if (stop_when is not None and cfg.check_every
                 and (ep + 1) % cfg.check_every == 0 and stop_when(primary, ep + 1)):
             break
@@ -385,13 +372,15 @@ def save_network(net: MlpNetwork, path) -> None:
 
 
 def load_network(path) -> MlpNetwork:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    return parse_model_file(path, _network_from_bytes, "network file")
+
+
+def _network_from_bytes(blob: bytes) -> MlpNetwork:
     if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a network file")
+        raise ValueError("not a network file")
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported network version {version}")
+        raise ValueError(f"unsupported network version {version}")
     meta = json.loads(blob[12:12 + hlen].decode())
     m, hidden, n = meta["sizes"]
     off = 12 + hlen
@@ -399,7 +388,7 @@ def load_network(path) -> MlpNetwork:
               ("b2", (n,))]
     need = sum(int(np.prod(sh)) for _, sh in shapes) * 8
     if len(blob) - off != need:
-        raise ValueError(f"{path}: truncated network file")
+        raise ValueError("truncated network file")
     tensors = {}
     for name, sh in shapes:
         size = int(np.prod(sh)) * 8
@@ -420,12 +409,15 @@ def save_network_text(net: MlpNetwork, path) -> None:
 
 
 def load_network_text(path) -> MlpNetwork:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    return parse_model_file(path, _network_from_text, "network text export")
+
+
+def _network_from_text(blob: bytes) -> MlpNetwork:
+    lines = blob.decode().splitlines()
     if not lines or lines[0] != "qnet/v1":
-        raise ValueError(f"{path}: not a network text export")
-    if not lines[1].startswith("meta "):
-        raise ValueError(f"{path}: missing meta line")
+        raise ValueError("not a network text export")
+    if len(lines) < 2 or not lines[1].startswith("meta "):
+        raise ValueError("missing meta line")
     meta = json.loads(lines[1][5:])
     tensors = {}
     for line in lines[2:]:

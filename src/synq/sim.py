@@ -132,6 +132,16 @@ class NullDecoder:
         return dec.DecodeResult(s == 0, 0, s, 0)
 
 
+# `synq decode/simulate --decoder` kind -> adapter from (Q source, H, beam, bf)
+DECODERS = {
+    "greedy": lambda q, H, beam, bf: GreedyDecoder(q, H, beam.d_max),
+    "list": lambda q, H, beam, bf: BeamDecoder(q, H, beam),
+    "bf": lambda q, H, beam, bf: BfDecoder(H, bf),
+    "feedback": lambda q, H, beam, bf: FeedbackDecoder(q, H, bf, beam.d_max),
+    "auto-list": lambda q, H, beam, bf: AutomorphismDecoder(q, H, beam),
+}
+
+
 # ---------------------------------------------------------------------------
 # the measurement loop
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .codes import ParityCheckMatrix
-from .mdp import SyndromeMdp
+from .mdp import SyndromeMdp, epsilon_greedy, rollout
 
 _MAGIC = b"QTAB"
 _VERSION = 1
@@ -67,6 +67,8 @@ class QTable:
 
     def __init__(self, n: int, m: int, meta: dict | None = None,
                  dtype=np.float64):
+        if n < 1 or m < 1:
+            raise ValueError(f"table needs n, m >= 1, got {n!r}, {m!r}")
         self.n = n
         self.m = m
         self.meta = dict(meta or {})
@@ -89,7 +91,7 @@ class QTable:
         return r
 
     def greedy(self, s: int) -> int:
-        return int(np.argmax(self.q_values(s)))
+        return int(self.q_values(s).argmax())
 
     def states(self):
         return self._rows.keys()
@@ -110,7 +112,7 @@ def q_update(Q: QTable, s: int, a: int, r: float, s_next: int,
              alpha: float, gamma: float) -> float:
     """One-step update toward r + gamma * max_a' Q(s', a'); returns new Q(s,a)."""
     row = Q.row(s)
-    row[a] += alpha * (r + gamma * float(np.max(Q.q_values(s_next))) - row[a])
+    row[a] += alpha * (r + gamma * float(Q.q_values(s_next).max()) - row[a])
     return float(row[a])
 
 
@@ -185,21 +187,12 @@ def train_q(
             "w": env.cfg.w,
         },
     })
-    alpha, gamma, L = cfg.alpha, env.cfg.gamma, env.cfg.L
+    alpha, gamma = cfg.alpha, env.cfg.gamma
     for t in range(cfg.episodes):
         eps = epsilon_at(t, cfg.eps_max, cfg.eps_min, cfg.episodes)
-        s = sampler(rng)
-        if not env.is_terminal(s):
-            for _ in range(L):
-                if rng.random() < eps:
-                    a = int(rng.integers(n))
-                else:
-                    a = Q.greedy(s)
-                s2, r, terminal = env.step(s, a)
-                q_update(Q, s, a, r, s2, alpha, gamma)
-                s = s2
-                if terminal:
-                    break
+        policy = epsilon_greedy(rng, eps, n, Q.greedy)
+        for s, a, r, s2, _ in rollout(env, sampler(rng), policy):
+            q_update(Q, s, a, r, s2, alpha, gamma)
         if (stop_when is not None and cfg.check_every
                 and (t + 1) % cfg.check_every == 0 and stop_when(Q, t + 1)):
             break
@@ -213,6 +206,17 @@ def train_q(
 
 def _header_bytes(Q: QTable) -> bytes:
     return json.dumps(Q.meta, sort_keys=True, separators=(",", ":")).encode()
+
+
+def parse_model_file(path, parse: Callable[[bytes], object], what: str):
+    """parse(contents of path), with any malformed content raised as ValueError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return parse(blob)
+    except (ValueError, LookupError, TypeError, AttributeError, OverflowError,
+            MemoryError, struct.error) as exc:  # MemoryError: absurd header sizes
+        raise ValueError(f"malformed {what} {path}: {exc}") from None
 
 
 def save_qtable(Q: QTable, path) -> None:
@@ -229,13 +233,15 @@ def save_qtable(Q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    return parse_model_file(path, _qtable_from_bytes, "qtable file")
+
+
+def _qtable_from_bytes(blob: bytes) -> QTable:
     if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a qtable file")
+        raise ValueError("not a qtable file")
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported qtable version {version}")
+        raise ValueError(f"unsupported qtable version {version}")
     meta = json.loads(blob[12:12 + hlen].decode())
     off = 12 + hlen
     (count,) = struct.unpack_from("<Q", blob, off)
@@ -244,7 +250,7 @@ def load_qtable(path) -> QTable:
     syn_bytes = (Q.m + 7) // 8
     rec = syn_bytes + 8 * Q.n
     if len(blob) - off != count * rec:
-        raise ValueError(f"{path}: truncated qtable ({len(blob) - off} payload bytes)")
+        raise ValueError(f"truncated qtable ({len(blob) - off} payload bytes)")
     for _ in range(count):
         s = int.from_bytes(blob[off:off + syn_bytes], "little")
         off += syn_bytes
@@ -263,12 +269,15 @@ def save_qtable_text(Q: QTable, path) -> None:
 
 
 def load_qtable_text(path) -> QTable:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    return parse_model_file(path, _qtable_from_text, "qtable text export")
+
+
+def _qtable_from_text(blob: bytes) -> QTable:
+    lines = blob.decode().splitlines()
     if not lines or lines[0] != "qtable/v1":
-        raise ValueError(f"{path}: not a qtable text export")
-    if not lines[1].startswith("meta "):
-        raise ValueError(f"{path}: missing meta line")
+        raise ValueError("not a qtable text export")
+    if len(lines) < 2 or not lines[1].startswith("meta "):
+        raise ValueError("missing meta line")
     meta = json.loads(lines[1][5:])
     Q = QTable(meta["n"], meta["m"], meta)
     for line in lines[2:]:
@@ -276,7 +285,7 @@ def load_qtable_text(path) -> QTable:
             continue
         fields = line.split()
         if len(fields) != Q.n + 1:
-            raise ValueError(f"{path}: bad record width")
+            raise ValueError("bad record width")
         Q._rows[int(fields[0], 16)] = np.array(
             [float.fromhex(v) for v in fields[1:]]
         )

@@ -1,14 +1,20 @@
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.cli import main
 from synq.codes import build_qc_ldpc, load_alist, QcLdpcSpec
-from synq.tabular import load_qtable
+from synq.neural import (MlpNetwork, load_network, load_network_text,
+                         save_network, save_network_text)
+from synq.tabular import (QTable, load_qtable, load_qtable_text, save_qtable,
+                          save_qtable_text)
 
 
 SMALL = ["--qc", "7", "3", "3", "2", "4"]
@@ -182,6 +188,64 @@ def test_unknown_model_format(tmp_path, capsys):
     rc = main(["decode", "--model", str(bogus), "--error", "1"])
     assert rc == 2
     assert "unknown model format" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_decode_malformed_qtable_is_a_usage_error(tmp_path, capsys):
+    huge = json.dumps({"n": 10**13, "m": 4, "code_hash": "x"}).encode()
+    for blob in [b"QTAB\x01\x00",  # cut inside the version field
+                 b"QTAB" + struct.pack("<II", 1, len(huge)) + huge
+                 + struct.pack("<Q", 0)]:  # no records, absurd width
+        bad = tmp_path / "bad.qtab"
+        bad.write_bytes(blob)
+        assert main(["decode", "--model", str(bad), "--error", "1"]) == 2
+        assert "malformed" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_decode_qnet_without_sizes_is_a_usage_error(tmp_path, capsys):
+    header = json.dumps({"activation": "relu", "code_hash": "x"}).encode()
+    bad = tmp_path / "nosizes.qnet"
+    bad.write_bytes(b"QNET" + struct.pack("<II", 1, len(header)) + header)
+    assert main(["decode", "--model", str(bad), "--error", "1"]) == 2
+    assert "malformed" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _model_files(root):
+    """One valid file per model format: (path, loader)."""
+    Q = QTable(n=4, m=11, meta={"code_hash": "abc", "n": 4, "m": 11})
+    Q.row(3)[:] = [0.25, -1.5, 3.0, 1e-17]
+    Q.row(1 << 10)[:] = [0.1, 0.2, 0.3, -0.4]
+    net = MlpNetwork.init(3, 2, 4, seed=1, meta={"code_hash": "abc"})
+    files = []
+    for name, save, load, model in [
+            ("t.qtab", save_qtable, load_qtable, Q),
+            ("t.qtable", save_qtable_text, load_qtable_text, Q),
+            ("n.qnet", save_network, load_network, net),
+            ("n.txt", save_network_text, load_network_text, net)]:
+        save(model, root / name)
+        files.append(((root / name).read_bytes(), load))
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 3), keep=st.none() | st.floats(0.0, 1.0),
+       flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
+                      max_size=3))
+def test_damaged_model_files_load_or_raise_value_error(tmp_path_factory, which,
+                                                      keep, flips):
+    # keep: the fraction of the file left after truncation (None: all of it);
+    # flips: (relative position, xor mask) byte corruptions
+    root = tmp_path_factory.getbasetemp()
+    blob, load = _model_files(root)[which]
+    data = bytearray(blob if keep is None else blob[:int(keep * len(blob))])
+    for where, mask in flips:
+        if data:
+            data[min(int(where * len(data)), len(data) - 1)] ^= mask
+    path = root / "damaged"
+    path.write_bytes(bytes(data))
+    try:
+        load(path)
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

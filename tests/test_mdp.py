@@ -149,6 +149,20 @@ def test_terminal_states_per_variant():
     assert is_terminal(bfb, bsets, 2)
     assert is_terminal(bfb, bsets, 9)
 
+    fbm = MdpConfig(variant="feedback_miscorrect")
+    msets = SyndromeSets(correct=frozenset({0}), fail=fail, misc=frozenset({7}))
+    assert not is_terminal(fbm, msets, 1)
+    assert is_terminal(fbm, msets, 0)  # corrected
+    assert is_terminal(fbm, msets, 7)  # miscorrected
+
+    bfbm = MdpConfig(variant="bounded_feedback_miscorrect", w=1)
+    bmsets = SyndromeSets(ball=ball, bcorrect=frozenset({0}),
+                          bfail=frozenset({1}), bmisc=frozenset({2}))
+    assert not is_terminal(bfbm, bmsets, 1)
+    assert is_terminal(bfbm, bmsets, 0)
+    assert is_terminal(bfbm, bmsets, 2)
+    assert is_terminal(bfbm, bmsets, 9)
+
 
 # ---------------------------------------------------------------------------
 # episodes
