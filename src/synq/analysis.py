@@ -225,6 +225,16 @@ def _enum_chunk(args) -> tuple[int, int]:
     return fail, misc
 
 
+def _is_checkpoint(state) -> bool:
+    """An object whose `weights` maps to {done, fail, misc} integer records."""
+    weights = state.get("weights") if isinstance(state, dict) else None
+    return isinstance(weights, dict) and all(
+        isinstance(rec, dict) and rec.keys() == {"done", "fail", "misc"}
+        and all(type(v) is int for v in rec.values())
+        for rec in weights.values()
+    )
+
+
 def enumerate_failures(
     H: ParityCheckMatrix,
     cfg: dec.BitFlipConfig = dec.BitFlipConfig(),
@@ -252,12 +262,15 @@ def enumerate_failures(
     if checkpoint is not None:
         try:
             with open(checkpoint) as fh:
-                old = json.load(fh)
-            if old.get("params") != params:
-                raise ValueError(f"checkpoint {checkpoint} belongs to another run")
-            state = old
+                state = json.load(fh)
         except FileNotFoundError:
             pass
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {checkpoint}: {exc}") from None
+        if not _is_checkpoint(state):
+            raise ValueError(f"checkpoint {checkpoint} is not an enumeration record")
+        if state.get("params") != params:
+            raise ValueError(f"checkpoint {checkpoint} belongs to another run")
 
     def dump():
         if checkpoint is not None:
@@ -386,10 +399,8 @@ def classify_syndromes(
     status = np.empty(syndromes.size, dtype=np.uint8)
     for lo in range(0, syndromes.size, 1 << 15):
         sl = syndromes[lo:lo + (1 << 15)]
-        reps = pattern[sl]
-        X = np.zeros((sl.size, H.n), dtype=np.uint8)
-        for i in range(H.n):
-            X[:, i] = (reps >> np.uint64(i)) & np.uint64(1)
+        X = np.unpackbits(pattern[sl].astype("<u8").view(np.uint8).reshape(-1, 8),
+                          axis=1, count=H.n, bitorder="little")
         flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
         wf = flips.sum(axis=1)
         lw = weight[sl]

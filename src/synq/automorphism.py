@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import ParityCheckMatrix, QcLdpcSpec, is_prime, multiplicative_order
+from .codes import (ParityCheckMatrix, QcLdpcSpec, bits_to_int, int_to_bits, is_prime,
+                    multiplicative_order)
 
 # ---------------------------------------------------------------------------
 # index permutations
@@ -53,17 +54,7 @@ class IndexPermutation:
 
     def apply_int(self, x: int) -> int:
         """Permute the set bits of a packed vector."""
-        if x < 0 or x >> self.size:
-            raise ValueError(f"value does not fit in {self.size} bits")
-        y = 0
-        mapping = self.mapping
-        i = 0
-        while x:
-            if x & 1:
-                y |= 1 << int(mapping[i])
-            x >>= 1
-            i += 1
-        return y
+        return bits_to_int(self.apply_bits(int_to_bits(x, self.size)))
 
     def compose(self, other: "IndexPermutation") -> "IndexPermutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""

@@ -21,7 +21,7 @@ import sys
 
 from . import analysis, automorphism, decoders, neural, sim, tabular
 from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, build_qc_ldpc,
-                    hamming_ball_syndromes, load_alist, save_alist)
+                    hamming_ball_syndromes, load_alist, save_alist, support)
 from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
 
 
@@ -35,7 +35,9 @@ def _config(args, keys=()) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -232,7 +234,7 @@ def cmd_decode(args) -> int:
     flips = res.flips.bit_count()
     print(f"{res.status}, {flips} flip{'s' if flips != 1 else ''}")
     if res.flips:
-        positions = ",".join(str(i + 1) for i in range(H.n) if res.flips >> i & 1)
+        positions = ",".join(str(i + 1) for i in support(res.flips))
         print(f"flipped bits: {positions}")
     return 0 if res.converged else 1
 

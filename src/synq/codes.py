@@ -1,10 +1,14 @@
 """Binary linear block codes represented by their parity-check matrices.
 
 Bit-vector convention used throughout the library: a length-L binary vector
-is packed into a Python int whose bit i (``1 << i``) is component i.  XOR is
-vector addition over GF(2), ``int.bit_count()`` is the Hamming weight.  The
+is packed into a Python int whose bit i (``1 << i``) is component i, which is
+numpy's ``bitorder="little"`` over little-endian bytes.  XOR is vector
+addition over GF(2), ``int.bit_count()`` is the Hamming weight.  The
 syndrome of an error pattern e is the XOR of the parity-check columns
-selected by the set bits of e.
+selected by the set bits of e.  This module is the only place that converts:
+`bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors, and
+`ParityCheckMatrix.syndrome_batch` from a (B, n) pattern matrix to its
+(B, m) syndromes; every other module calls them.
 
 Quasi-cyclic constructions place a p x p circulant permutation block at
 block position (s, t), the identity cyclically shifted by b^s * a^t mod p,
@@ -30,12 +34,9 @@ log = logging.getLogger(__name__)
 
 
 def bits_to_int(bits) -> int:
-    """Pack a 0/1 sequence (index 0 = LSB) into an int."""
-    x = 0
-    for i, b in enumerate(bits):
-        if b:
-            x |= 1 << i
-    return x
+    """Pack a 0/1 sequence (index 0 = LSB, nonzero = 1) into an int."""
+    packed = np.packbits(np.asarray(bits) != 0, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def int_to_bits(x: int, length: int) -> np.ndarray:
@@ -43,21 +44,12 @@ def int_to_bits(x: int, length: int) -> np.ndarray:
     if x < 0 or x >> length:
         raise ValueError(f"value does not fit in {length} bits")
     raw = np.frombuffer(x.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    return ((raw.reshape(-1, 1) >> np.arange(8, dtype=np.uint8)) & 1).reshape(-1)[
-        :length
-    ]
+    return np.unpackbits(raw, count=length, bitorder="little")
 
 
 def support(x: int):
     """Indices of the set bits, ascending."""
-    idx = []
-    i = 0
-    while x:
-        if x & 1:
-            idx.append(i)
-        x >>= 1
-        i += 1
-    return idx
+    return np.flatnonzero(int_to_bits(x, x.bit_length())).tolist()
 
 
 def gf2_rank(rows) -> int:
@@ -99,11 +91,13 @@ class ParityCheckMatrix:
         self.rows_int = tuple(bits_to_int(self.bits[r, :]) for r in range(self.m))
         self.qc = qc
         self._rank: int | None = None
+        # Batch syndromes multiply by H^T in float32, where every sum is exact;
+        # a float-to-uint8 cast is defined only below 256, so codes with wider
+        # rows take their sums through int32 first.
+        self._HT = self.bits.T.astype(np.float32)
+        self._sum_dtype = np.uint8 if self.bits.sum(axis=1).max() < 256 else np.int32
 
     # -- basic accessors ----------------------------------------------------
-
-    def col(self, i: int) -> np.ndarray:
-        return self.bits[:, i]
 
     @property
     def rank(self) -> int:
@@ -143,9 +137,8 @@ class ParityCheckMatrix:
 
     def syndrome_batch(self, patterns: np.ndarray) -> np.ndarray:
         """Syndromes of a (B, n) uint8 pattern matrix, as a (B, m) uint8 matrix."""
-        return (patterns.astype(np.float32) @ self.bits.T.astype(np.float32)).astype(
-            np.int64
-        ).astype(np.uint8) & 1
+        sums = (patterns.astype(np.float32) @ self._HT).astype(self._sum_dtype)
+        return sums.astype(np.uint8, copy=False) & 1
 
     def __eq__(self, other):
         return isinstance(other, ParityCheckMatrix) and np.array_equal(

@@ -224,7 +224,7 @@ def bf_decode_batch(
     iters = np.zeros(X.shape[0], dtype=np.int32)
     active = np.arange(X.shape[0])
     work = X.copy()
-    S = (work[active].astype(np.float32) @ Hf.T).astype(np.int32) & 1
+    S = H.syndrome_batch(work)
     for _ in range(cfg.max_iter):
         unsat = S.astype(np.float32) @ Hf
         flip = (unsat >= cfg.tau).astype(np.uint8)
@@ -236,9 +236,8 @@ def bf_decode_batch(
         work[active] ^= flip
         flips[active] ^= flip
         iters[active] += 1
-        S = (work[active].astype(np.float32) @ Hf.T).astype(np.int32) & 1
-    residual = (work.astype(np.float32) @ Hf.T).astype(np.int32) & 1
-    converged = ~residual.any(axis=1)
+        S = H.syndrome_batch(work[active])
+    converged = ~H.syndrome_batch(work).any(axis=1)
     return flips, converged, iters
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synq.automorphism import (GroupElement, IndexPermutation,
                                booth_least_rotation, burnside_count,
@@ -37,6 +39,26 @@ def test_apply_int_matches_apply_bits():
         perm = IndexPermutation(rng.permutation(size))
         bits = (rng.random(size) < 0.4).astype(np.uint8)
         assert perm.apply_int(bits_to_int(bits)) == bits_to_int(perm.apply_bits(bits))
+
+
+def ref_apply_int(perm: IndexPermutation, x: int) -> int:
+    """Bit-by-bit permutation of a packed vector, the reference for `apply_int`."""
+    y = 0
+    i = 0
+    while x:
+        if x & 1:
+            y |= 1 << int(perm.mapping[i])
+        x >>= 1
+        i += 1
+    return y
+
+
+@given(st.data())
+def test_apply_int_matches_reference_loop(data):
+    size = data.draw(st.one_of(st.sampled_from([0, 93, 155]), st.integers(0, 200)))
+    perm = IndexPermutation(data.draw(st.permutations(range(size))))
+    x = data.draw(st.integers(0, 2**size - 1))
+    assert perm.apply_int(x) == ref_apply_int(perm, x)
 
 
 def test_apply_int_range_check():

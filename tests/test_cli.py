@@ -53,6 +53,13 @@ def test_build_code_alist_round_trip(tmp_path, capsys):
     assert f"rank {H.rank}" in capsys.readouterr().out
 
 
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["build-code", "--config", str(cfg)]) == 2
+    assert str(cfg) in json.loads(capsys.readouterr().err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -285,6 +292,23 @@ def test_enum_failures_small_code(tmp_path, capsys):
     assert "failures: 21 x^1" in stdout
     assert "miscorrections: 0" in stdout
     assert out.read_text().splitlines()[1] == "weight,patterns,failures,miscorrections"
+
+
+@pytest.mark.parametrize("damage", ["not an object", "no weights", "not JSON"])
+def test_enum_failures_malformed_checkpoint_is_a_usage_error(tmp_path, capsys,
+                                                            damage):
+    ck = tmp_path / "enum.json"
+    args = ["enum-failures", *SMALL, "--w-max", "1", "--checkpoint", str(ck)]
+    assert main(args) == 0
+    state = json.loads(ck.read_text())
+    assert main(args) == 0  # a finished checkpoint resumes to the same result
+    del state["weights"]
+    text = {"not an object": "[1]", "no weights": json.dumps(state),
+            "not JSON": "{"}[damage]
+    ck.write_text(text)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert str(ck) in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_count_orbits(capsys):

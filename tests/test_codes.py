@@ -36,6 +36,48 @@ def test_support():
     assert support(0b10010001) == [0, 4, 7]
 
 
+def ref_bits_to_int(bits) -> int:
+    """Bit-by-bit packing, the reference for `bits_to_int`."""
+    x = 0
+    for i, b in enumerate(bits):
+        if b:
+            x |= 1 << i
+    return x
+
+
+def ref_support(x: int) -> list[int]:
+    """Bit-by-bit scan, the reference for `support`."""
+    idx = []
+    i = 0
+    while x:
+        if x & 1:
+            idx.append(i)
+        x >>= 1
+        i += 1
+    return idx
+
+
+# widths that are not multiples of 8, the two code sizes, and the empty vector
+WIDTHS = st.one_of(st.sampled_from([0, 93, 155]), st.integers(0, 200))
+
+
+@given(WIDTHS.flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+def test_bits_to_int_matches_reference_loop(values):
+    arr = np.array(values, dtype=np.int64)  # entries > 1 count as set bits
+    want = ref_bits_to_int(values)
+    for bits in (values, [v != 0 for v in values], arr, arr != 0,
+                 arr.astype(np.uint8)):
+        assert bits_to_int(bits) == want
+
+
+@given(WIDTHS.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_unpacking_matches_reference_loops(width_and_value):
+    n, x = width_and_value
+    assert int_to_bits(x, n).tolist() == [x >> i & 1 for i in range(n)]
+    got = support(x)
+    assert got == ref_support(x) and all(type(i) is int for i in got)
+
+
 def test_gf2_rank():
     assert gf2_rank([1, 2, 4, 8]) == 4
     assert gf2_rank([0b110, 0b011, 0b101]) == 2  # third row = sum of first two
@@ -88,6 +130,16 @@ def test_syndrome_batch_matches_loop(tanner):
     assert batch.shape == (50, tanner.m)
     for row, want in zip(batch, patterns):
         assert bits_to_int(row) == tanner.syndrome(bits_to_int(want))
+
+
+def test_syndrome_batch_rows_wider_than_a_byte():
+    # row weights above 255 cannot be cast from float32 to uint8 directly
+    rng = rng_for_tests(3)
+    H = ParityCheckMatrix((rng.random((4, 600)) < 0.7).astype(np.uint8))
+    assert H.bits.sum(axis=1).min() > 255
+    patterns = (rng.random((20, H.n)) < 0.6).astype(np.uint8)
+    for row, want in zip(H.syndrome_batch(patterns), patterns):
+        assert bits_to_int(row) == H.syndrome(bits_to_int(want))
 
 
 def test_bits_are_read_only(hamming):
