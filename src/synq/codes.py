@@ -18,6 +18,7 @@ prime p.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -91,11 +92,6 @@ class ParityCheckMatrix:
         self.rows_int = tuple(bits_to_int(self.bits[r, :]) for r in range(self.m))
         self.qc = qc
         self._rank: int | None = None
-        # Batch syndromes multiply by H^T in float32, where every sum is exact;
-        # a float-to-uint8 cast is defined only below 256, so codes with wider
-        # rows take their sums through int32 first.
-        self._HT = self.bits.T.astype(np.float32)
-        self._sum_dtype = np.uint8 if self.bits.sum(axis=1).max() < 256 else np.int32
 
     # -- basic accessors ----------------------------------------------------
 
@@ -135,10 +131,15 @@ class ParityCheckMatrix:
             i += 32
         return s
 
+    @functools.cached_property
+    def _HT(self) -> np.ndarray:
+        """H^T in float32, built on first use; every GF(2) product sum is exact."""
+        return self.bits.T.astype(np.float32)
+
     def syndrome_batch(self, patterns: np.ndarray) -> np.ndarray:
         """Syndromes of a (B, n) uint8 pattern matrix, as a (B, m) uint8 matrix."""
-        sums = (patterns.astype(np.float32) @ self._HT).astype(self._sum_dtype)
-        return sums.astype(np.uint8, copy=False) & 1
+        sums = (patterns.astype(np.float32) @ self._HT).astype(np.int32) & 1
+        return sums.astype(np.uint8)
 
     def __eq__(self, other):
         return isinstance(other, ParityCheckMatrix) and np.array_equal(

@@ -219,14 +219,13 @@ def bf_decode_batch(
     X = np.ascontiguousarray(patterns, dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != H.n:
         raise ValueError("patterns must be (B, n)")
-    Hf = H.bits.astype(np.float32)
     flips = np.zeros_like(X)
     iters = np.zeros(X.shape[0], dtype=np.int32)
     active = np.arange(X.shape[0])
     work = X.copy()
     S = H.syndrome_batch(work)
     for _ in range(cfg.max_iter):
-        unsat = S.astype(np.float32) @ Hf
+        unsat = S.astype(np.float32) @ H._HT.T
         flip = (unsat >= cfg.tau).astype(np.uint8)
         alive = (S.any(axis=1)) & (flip.any(axis=1))
         if not alive.any():
