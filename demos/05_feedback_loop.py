@@ -12,6 +12,7 @@ from synq import (BitFlipConfig, MdpConfig, QcLdpcSpec, SyndromeMdp,
                   SyndromeSets, bit_flipping_decode, build_qc_ldpc,
                   feedback_decode)
 from synq.analysis import bounded_sets, feedback_guarantee
+from synq.codes import ball_levels
 from synq.tabular import SetSampler, TrainConfig, train_q
 
 H = build_qc_ldpc(QcLdpcSpec(p=7, j=3, k_blocks=3, a=2, b=4))
@@ -30,27 +31,23 @@ Q = train_q(env, TrainConfig(episodes=50_000, seed=0),
             SetSampler(sorted(sets["bfail"])))
 print(f"policy table: {len(Q)} states")
 
-import itertools
-
 
 def phi(word):
     return bit_flipping_decode(word, H, bf_cfg)
 
 
 # Exhaustive comparison over every weight 1 and 2 error pattern.
-for w in (1, 2):
-    alone = assisted = total = 0
-    for combo in itertools.combinations(range(H.n), w):
-        e = 0
-        for i in combo:
-            e |= 1 << i
-        total += 1
+for w, _, errors in ball_levels(H, 2):
+    if not w:
+        continue
+    alone = assisted = 0
+    for e in errors:
         r0 = phi(e)
         alone += r0.converged and r0.flips == e
         r1 = feedback_decode(phi, Q, e, H)
         assisted += r1.converged and r1.flips == e
-    print(f"weight {w}: bit flipping alone {alone}/{total}, "
-          f"with feedback {assisted}/{total}")
+    print(f"weight {w}: bit flipping alone {alone}/{len(errors)}, "
+          f"with feedback {assisted}/{len(errors)}")
 
 # The guarantee implied by the decoder's failure/miscorrection geometry:
 # failures start at weight 1, but no miscorrection exists inside the ball,

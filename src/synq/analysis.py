@@ -25,7 +25,8 @@ from scipy.special import gammaln, logsumexp
 
 from . import decoders as dec
 from .automorphism import burnside_count
-from .codes import ParityCheckMatrix, QcLdpcSpec, ball_size, int_to_bits
+from .codes import (ParityCheckMatrix, QcLdpcSpec, ball_levels, ball_size,
+                    int_to_bits)
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -344,12 +345,7 @@ class SyndromeClassification:
     leader_pattern: np.ndarray
 
     def status_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        syn = self.syndromes
-        return (
-            frozenset(syn[self.status == 0].tolist()),
-            frozenset(syn[self.status == 1].tolist()),
-            frozenset(syn[self.status == 2].tolist()),
-        )
+        return _status_sets(self.syndromes, self.status)
 
     def min_weight(self, status_code: int):
         mask = self.status == status_code
@@ -358,6 +354,19 @@ class SyndromeClassification:
     @property
     def covering_radius(self) -> int:
         return int(self.leader_weight.max())
+
+
+def _leader_status(X: np.ndarray, H: ParityCheckMatrix, cfg: dec.BitFlipConfig):
+    """Decode each minimum-weight leader row of X: 0 correct (a flip set as
+    light as the leader), 1 failure, 2 miscorrection."""
+    flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
+    exact = flips.sum(axis=1) == X.sum(axis=1)
+    return np.where(~conv, 1, np.where(exact, 0, 2)).astype(np.uint8)
+
+
+def _status_sets(syndromes: np.ndarray, status: np.ndarray):
+    """The (correct, failure, miscorrection) syndrome sets."""
+    return tuple(frozenset(syndromes[status == code].tolist()) for code in range(3))
 
 
 def classify_syndromes(
@@ -401,11 +410,7 @@ def classify_syndromes(
         sl = syndromes[lo:lo + (1 << 15)]
         X = np.unpackbits(pattern[sl].astype("<u8").view(np.uint8).reshape(-1, 8),
                           axis=1, count=H.n, bitorder="little")
-        flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
-        wf = flips.sum(axis=1)
-        lw = weight[sl]
-        st = np.where(~conv, 1, np.where(wf == lw, 0, 2)).astype(np.uint8)
-        status[lo:lo + sl.size] = st
+        status[lo:lo + sl.size] = _leader_status(X, H, cfg)
     return SyndromeClassification(syndromes, status, weight[syndromes],
                                   pattern[syndromes])
 
@@ -418,40 +423,21 @@ def bounded_sets(
 ):
     """Ball-restricted decoder-region sets (BS_c, BS_f, BS_m) plus S(w).
 
-    Enumerates the weight-<=w ball, keeps one minimum-weight representative
-    per syndrome, and classifies it with the inner decoder.  Returns a dict
-    ready to build mdp.SyndromeSets from.
+    Walks the weight-<=w ball (`codes.ball_levels`), keeps the first
+    minimum-weight pattern per syndrome as its representative, and classifies
+    it with the inner decoder.  Returns a dict ready to build mdp.SyndromeSets
+    from.
     """
-    import itertools
-
-    if ball_size(H.n, w) > budget:
-        raise ValueError("ball exceeds the pattern budget")
-    reps: dict[int, tuple[int, int]] = {0: (0, 0)}
-    for u in range(1, w + 1):
-        for combo in itertools.combinations(range(H.n), u):
-            s = 0
-            x = 0
-            for i in combo:
-                s ^= H.cols_int[i]
-                x |= 1 << i
-            reps.setdefault(s, (u, x))
+    reps: dict[int, int] = {}
+    for _, syndromes, patterns in ball_levels(H, w, budget):
+        for s, x in zip(syndromes, patterns):
+            reps.setdefault(s, x)
     syn = sorted(reps)
-    X = np.zeros((len(syn), H.n), dtype=np.uint8)
-    lw = np.zeros(len(syn), dtype=np.int32)
-    for r, s in enumerate(syn):
-        u, x = reps[s]
-        lw[r] = u
-        X[r] = int_to_bits(x, H.n)
-    flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
-    wf = flips.sum(axis=1)
-    status = np.where(~conv, 1, np.where(wf == lw, 0, 2))
-    arr = np.array(syn, dtype=object)
-    return {
-        "ball": frozenset(syn),
-        "bcorrect": frozenset(arr[status == 0].tolist()),
-        "bfail": frozenset(arr[status == 1].tolist()),
-        "bmisc": frozenset(arr[status == 2].tolist()),
-    }
+    X = np.fromiter((int_to_bits(reps[s], H.n) for s in syn),
+                    np.dtype((np.uint8, H.n)), len(syn))
+    correct, fail, misc = _status_sets(np.array(syn, dtype=object),
+                                       _leader_status(X, H, cfg))
+    return {"ball": frozenset(syn), "bcorrect": correct, "bfail": fail, "bmisc": misc}
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +458,12 @@ def greedy_ball_sweep(
     corrected exactly (converged, recovered flip set equal to the pattern)
     in exactly its weight many steps.
     """
-    import itertools
-
-    if ball_size(H.n, w) > budget:
-        raise ValueError("ball exceeds the pattern budget")
     out: dict[int, tuple[int, int]] = {}
-    for u in range(1, w + 1):
-        total = wrong = 0
-        for combo in itertools.combinations(range(H.n), u):
-            y = 0
-            for i in combo:
-                y |= 1 << i
-            res = dec.greedy_decode(qsrc, y, H, max_steps=L)
-            total += 1
-            if not res.converged or res.flips != y or res.steps != u:
-                wrong += 1
-        out[u] = (total, wrong)
+    for u, _, patterns in ball_levels(H, w, budget):
+        if u:
+            wrong = 0
+            for y in patterns:
+                res = dec.greedy_decode(qsrc, y, H, max_steps=L)
+                wrong += not res.converged or res.flips != y or res.steps != u
+            out[u] = (len(patterns), wrong)
     return out

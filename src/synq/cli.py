@@ -30,16 +30,33 @@ from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
 # ---------------------------------------------------------------------------
 
 
-def _config(args, keys=()) -> dict:
-    """File config (if any) overridden by explicitly supplied flags."""
+#: flags that name inputs and outputs; every other flag is a config field
+_NOT_CONFIG = {"help", "config", "code", "qc", "out", "text_out", "model",
+               "decoder", "error", "checkpoint", "gnuplot"}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _config(args) -> dict:
+    """File config (if any) overridden by explicitly supplied flags.
+
+    The config fields of a subcommand are its flags outside `_NOT_CONFIG`; a
+    file value must have its flag's type (``rhos`` may also list numbers).
+    """
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
-    for key in keys:
-        value = getattr(args, key, None)
+        for key, flag_type in args.fields.items():
+            value = cfg.get(key)
+            if key in cfg and not (type(value) in _JSON_TYPES[flag_type] or key == "rhos"
+                                   and isinstance(value, list)
+                                   and all(type(v) in _JSON_TYPES[float] for v in value)):
+                raise ValueError(f"config {args.config}: {key} = {value!r} does "
+                                 f"not fit the type of --{key.replace('_', '-')}")
+    for key in args.fields:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     if getattr(args, "qc", None):
@@ -56,8 +73,8 @@ def _resolve_code(cfg) -> ParityCheckMatrix:
         return build_qc_ldpc(TANNER_SPEC)
     if isinstance(code, str):
         return load_alist(code)
-    if isinstance(code, (list, tuple)) and len(code) == 5:
-        return build_qc_ldpc(QcLdpcSpec(*[int(v) for v in code]))
+    if isinstance(code, list) and len(code) == 5 and all(type(v) is int for v in code):
+        return build_qc_ldpc(QcLdpcSpec(*code))
     raise ValueError(f"cannot interpret code spec {code!r}")
 
 
@@ -116,9 +133,9 @@ def _bf_config(cfg) -> decoders.BitFlipConfig:
                                   max_iter=int(cfg.get("bf_max_iter", 30)))
 
 
-def _train_env(args, keys):
+def _train_env(args):
     """The config, and the training MDP it names with its sets and sampler."""
-    cfg = _config(args, keys)
+    cfg = _config(args)
     H = _resolve_code(cfg)
     mdp_cfg = MdpConfig(L=int(cfg.get("L", 10)), gamma=float(cfg.get("gamma", 0.9)),
                         variant=cfg.get("variant", MdpConfig.variant),
@@ -156,12 +173,8 @@ def cmd_build_code(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = ("variant", "w", "gamma", "L", "alpha", "episodes", "eps_max",
-               "eps_min", "seed", "sample_w", "tau", "bf_max_iter")
-
-
 def cmd_train_q(args) -> int:
-    cfg, env, sampler = _train_env(args, _TRAIN_KEYS)
+    cfg, env, sampler = _train_env(args)
     tcfg = tabular.TrainConfig(
         episodes=int(cfg.get("episodes", 100_000)),
         alpha=float(cfg.get("alpha", 0.1)),
@@ -178,12 +191,8 @@ def cmd_train_q(args) -> int:
     return 0
 
 
-_DQN_KEYS = _TRAIN_KEYS + ("hidden", "batch", "lr", "buffer", "sync_every",
-                           "optimizer")
-
-
 def cmd_train_dqn(args) -> int:
-    cfg, env, sampler = _train_env(args, _DQN_KEYS)
+    cfg, env, sampler = _train_env(args)
     dcfg = neural.DqnConfig(
         episodes=int(cfg.get("episodes", 100_000)),
         hidden=int(cfg.get("hidden", 512)),
@@ -212,11 +221,8 @@ def _make_decoder(kind, model, H, cfg):
     return sim.DECODERS[kind](model, H, beam, bf)
 
 
-_DECODE_KEYS = ("k", "d_max", "tau", "bf_max_iter")
-
-
 def cmd_decode(args) -> int:
-    cfg = _config(args, _DECODE_KEYS)
+    cfg = _config(args)
     H = _resolve_code(cfg)
     model = _load_model(args.model, H) if args.model else decoders.ZeroQ(H.n)
     e = _parse_error_pattern(args.error, H.n)
@@ -239,12 +245,8 @@ def cmd_decode(args) -> int:
     return 0 if res.converged else 1
 
 
-_SIM_KEYS = _DECODE_KEYS + ("rhos", "max_frames", "target_errors", "seed",
-                            "batch", "workers")
-
-
 def cmd_simulate(args) -> int:
-    cfg = _config(args, _SIM_KEYS)
+    cfg = _config(args)
     if isinstance(cfg.get("rhos"), str):
         cfg["rhos"] = [float(v) for v in cfg["rhos"].split(",")]
     H = _resolve_code(cfg)
@@ -270,7 +272,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enum_failures(args) -> int:
-    cfg = _config(args, ("tau", "bf_max_iter", "w_max", "workers"))
+    cfg = _config(args)
     H = _resolve_code(cfg)
     bf = _bf_config(cfg)
     enum = analysis.enumerate_failures(
@@ -468,6 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.set_defaults(func=cmd_guarantee)
 
+    for p in sub.choices.values():
+        p.set_defaults(fields={a.dest: a.type or str for a in p._actions
+                               if a.dest not in _NOT_CONFIG})
     return ap
 
 

@@ -10,6 +10,11 @@ selected by the set bits of e.  This module is the only place that converts:
 `ParityCheckMatrix.syndrome_batch` from a (B, n) pattern matrix to its
 (B, m) syndromes; every other module calls them.
 
+The Hamming ball of radius w is walked only by `ball_levels`: weight 0, 1,
+..., w in turn, the patterns of each weight in ``itertools.combinations``
+order.  Where several patterns share a syndrome, its representative is the
+first pattern of least weight in that order.
+
 Quasi-cyclic constructions place a p x p circulant permutation block at
 block position (s, t), the identity cyclically shifted by b^s * a^t mod p,
 where a has multiplicative order k_blocks and b has order j modulo the
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -265,32 +269,44 @@ def ball_size(n: int, w: int) -> int:
     return sum(math.comb(n, i) for i in range(w + 1))
 
 
-def ball_syndrome_weights(
-    H: ParityCheckMatrix, w: int, budget: int = 2_000_000
-) -> dict[int, int]:
-    """Map syndrome -> smallest error weight <= w producing it.
+def ball_levels(H: ParityCheckMatrix, w: int, budget: int = 2_000_000):
+    """Walk the Hamming ball of radius w one weight at a time.
 
-    Enumerates every error pattern of weight 0..w (ball_size(n, w) patterns,
-    refused above `budget`).  The all-zero syndrome maps to weight 0.
+    Yields (u, syndromes, patterns) for u = 0..w: the syndrome and packed
+    pattern of every weight-u error, in ``itertools.combinations(range(n), u)``
+    order.  A radius outside [0, n] or a ball of more than `budget` patterns
+    raises ValueError as iteration starts, before any pattern is built.
     """
-    if w < 0 or w > H.n:
-        raise ValueError("weight radius out of range")
+    if not 0 <= w <= H.n:
+        raise ValueError(f"ball radius {w} outside [0, {H.n}]")
     total = ball_size(H.n, w)
     if total > budget:
         raise ValueError(f"ball has {total} patterns, exceeds budget {budget}")
-    cols = H.cols_int
-    weights = {0: 0}
+    # each weight-u pattern extends a weight-(u-1) one, and its syndrome, by an
+    # index above its highest set bit; only a level and its parent stay alive
+    cols, bits = H.cols_int, [1 << i for i in range(H.n)]
+    syn, pat = [0], [0]
+    yield 0, syn, pat
     for u in range(1, w + 1):
-        for combo in itertools.combinations(range(H.n), u):
-            s = 0
-            for i in combo:
-                s ^= cols[i]
+        syn = [s ^ c for s, x in zip(syn, pat) for c in cols[x.bit_length():]]
+        pat = [x | b for x in pat for b in bits[x.bit_length():]]
+        yield u, syn, pat
+
+
+def ball_syndrome_weights(
+    H: ParityCheckMatrix, w: int, budget: int = 2_000_000
+) -> dict[int, int]:
+    """Map syndrome -> smallest error weight <= w producing it, over every
+    error pattern of weight 0..w (`ball_levels`).  0 maps to weight 0."""
+    weights: dict[int, int] = {}
+    for u, syndromes, _ in ball_levels(H, w, budget):
+        for s in syndromes:
             weights.setdefault(s, u)
-    collisions = total - len(weights)
-    if collisions:
+    total = ball_size(H.n, w)
+    if total > len(weights):
         log.warning(
             "syndrome ball w=%d: %d pattern collisions (%d patterns, %d syndromes)",
-            w, collisions, total, len(weights),
+            w, total - len(weights), total, len(weights),
         )
     return weights
 

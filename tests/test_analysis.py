@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            classify_syndromes, combo_unrank_colex,
@@ -11,8 +13,11 @@ from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            error_floor_estimate, feedback_guarantee,
                            greedy_ball_sweep, patterns_colex, syndrome_bounds,
                            write_enumeration_csv)
-from synq.codes import bits_to_int, random_parity_check
-from synq.decoders import BitFlipConfig, ZeroQ, bit_flipping_decode
+from synq.codes import (ball_levels, ball_size, ball_syndrome_weights,
+                        bits_to_int, hamming_ball_syndromes, random_parity_check)
+from synq.decoders import (BitFlipConfig, ZeroQ, bit_flipping_decode,
+                           greedy_decode)
+from conftest import ball_reference, random_codes, rng_for_tests
 from test_decoders import OneHotQ
 
 
@@ -327,6 +332,83 @@ def test_bounded_sets_small_qc_tau1(small_qc):
 def test_bounded_sets_budget(tanner):
     with pytest.raises(ValueError):
         bounded_sets(tanner, 3, budget=1000)
+    for w in (-1, tanner.n + 1):
+        with pytest.raises(ValueError):
+            bounded_sets(tanner, w)
+
+
+def _bounded_sets_reference(H, w, cfg):
+    """The regions by definition: each ball syndrome's first least-weight
+    pattern, decoded by the scalar bit-flipping decoder."""
+    reps = {}
+    for s, u, x in ball_reference(H, w):
+        reps.setdefault(s, (u, x))
+    sets = {"ball": set(reps), "bcorrect": set(), "bfail": set(), "bmisc": set()}
+    for s, (u, x) in reps.items():
+        res = bit_flipping_decode(x, H, cfg)
+        exact = res.flips.bit_count() == u
+        sets["bfail" if not res.converged else "bcorrect" if exact else "bmisc"].add(s)
+    return sets
+
+
+def _greedy_sweep_reference(qsrc, H, w, L=10):
+    out = {}
+    for _, u, y in ball_reference(H, w):
+        if u:
+            res = greedy_decode(qsrc, y, H, max_steps=L)
+            total, wrong = out.get(u, (0, 0))
+            out[u] = (total + 1, wrong + (not res.converged or res.flips != y
+                                          or res.steps != u))
+    return out
+
+
+class _HashedQ:
+    """An arbitrary fixed policy: each syndrome hashes to a random table row."""
+
+    def __init__(self, n):
+        self.table = rng_for_tests(n).random((251, n))
+
+    def q_values(self, s):
+        return self.table[s % 251]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ball_consumers_match_their_references(hamming, small_qc, data):
+    H = data.draw(st.sampled_from([hamming, small_qc]) | random_codes)
+    w = data.draw(st.integers(0, min(3, H.n)))
+    for tau in (1, 2):
+        cfg = BitFlipConfig(tau=tau, max_iter=30)
+        assert bounded_sets(H, w, cfg) == _bounded_sets_reference(H, w, cfg)
+    for q in (OneHotQ(H), _HashedQ(H.n)):
+        assert greedy_ball_sweep(q, H, w) == _greedy_sweep_reference(q, H, w)
+
+
+class _Unwalkable:
+    """A length-n code whose columns must not be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def cols_int(self):
+        raise AssertionError("the ball walk started")
+
+
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-3, n + 3))))
+def test_ball_guards_raise_before_any_work(nw):
+    n, w = nw
+    H = _Unwalkable(n)
+    # a radius outside [0, n] is refused even under a budget it would fit
+    budget = ball_size(n, w) - 1 if 0 <= w <= n else 2**n
+    for walk in (lambda H, w, budget: next(ball_levels(H, w, budget)),
+                 ball_syndrome_weights, hamming_ball_syndromes,
+                 lambda H, w, budget: bounded_sets(H, w, budget=budget),
+                 lambda H, w, budget: greedy_ball_sweep(ZeroQ(n), H, w,
+                                                        budget=budget)):
+        with pytest.raises(ValueError):
+            walk(H, w, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +431,6 @@ def test_greedy_sweep_zero_policy(hamming):
 def test_greedy_sweep_budget(tanner):
     with pytest.raises(ValueError):
         greedy_ball_sweep(ZeroQ(tanner.n), tanner, 4, budget=10_000)
+    for w in (-1, tanner.n + 1):
+        with pytest.raises(ValueError):
+            greedy_ball_sweep(ZeroQ(tanner.n), tanner, w)

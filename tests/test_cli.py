@@ -60,6 +60,20 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     assert str(cfg) in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("argv, fields", [
+    (["simulate", "--decoder", "bf"], {"rhos": 5}),
+    (["train-q", "--out", "x.qtab"], {"w": "x", "variant": "truncated"}),
+    (["build-code"], {"code": [7, 3, 3, 2, None]}),
+], ids=["rhos", "w", "code"])
+def test_config_field_of_the_wrong_type_is_a_usage_error(tmp_path, monkeypatch,
+                                                        capsys, argv, fields):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(fields))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert next(iter(fields)) in json.loads(capsys.readouterr().err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

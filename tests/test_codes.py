@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_size,
-                        ball_syndrome_weights, bits_to_int, build_qc_ldpc,
+from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_levels,
+                        ball_size, ball_syndrome_weights, bits_to_int, build_qc_ldpc,
                         gf2_rank, hamming_ball_syndromes, int_to_bits,
                         is_prime, load_alist, multiplicative_order,
                         random_parity_check, save_alist, support)
-from conftest import rng_for_tests
+from conftest import ball_reference, random_codes, rng_for_tests
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,23 @@ def test_tanner_ball_counts_small(tanner):
 def test_ball_budget_guard(tanner):
     with pytest.raises(ValueError):
         ball_syndrome_weights(tanner, 3, budget=1000)
+    for w in (-1, tanner.n + 1):
+        with pytest.raises(ValueError):
+            ball_syndrome_weights(tanner, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ball_walk_matches_the_combinations_reference(hamming, small_qc, data):
+    H = data.draw(st.sampled_from([hamming, small_qc]) | random_codes)
+    w = data.draw(st.integers(0, min(3, H.n)))
+    ref = ball_reference(H, w)
+    walk = [(s, u, x) for u, syn, pat in ball_levels(H, w) for s, x in zip(syn, pat)]
+    assert walk == ref
+    weights = {}
+    for s, u, _ in ref:
+        weights.setdefault(s, u)
+    assert list(ball_syndrome_weights(H, w).items()) == list(weights.items())
 
 
 # ---------------------------------------------------------------------------
