@@ -17,6 +17,7 @@ permutations satisfying syndrome(var(e)) = chk(syndrome(e)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -254,39 +255,29 @@ def booth_least_rotation(seq) -> int:
     return k % (n2 // 2)
 
 
-def _least_period(seq) -> int:
-    """Smallest cyclic period of seq (divides len(seq) when one exists)."""
-    n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(seq[i] == seq[i % d] for i in range(n)):
-            return d
-    return n
+@functools.lru_cache(maxsize=16)
+def _orbit_index(p: int, blocks: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices for the whole orbit of a block-major coloring v.
 
-
-def _min_simultaneous_rotation(w: np.ndarray, blocks: int, p: int) -> np.ndarray:
-    """Min over u of the block-major vector with every block rotated by u.
-
-    Rotation by u places old bead i at position i+u, so the rotated block is
-    np.roll(block, u).  The first non-constant block pins u via Booth; when
-    its least rotation is periodic (impossible for non-constant blocks at
-    prime p) the survivors are compared over the remaining blocks.
+    v[cosets[s]] is rho^s v, where rho^s moves bead (c, i) to
+    (c + s, mult^s i); w[rot[u]] is w with every block rotated by u, which
+    moves bead (c, i) to (c, i + u).  So v[cosets][:, rot] lists
+    sigma^u rho^s v for all s and u, the blocks*p members of the orbit.
     """
-    rows = w.reshape(blocks, p)
-    pivot = next((c for c in range(blocks) if (rows[c] != rows[c, 0]).any()), None)
-    if pivot is None:
-        return w.copy()
-    k = booth_least_rotation(rows[pivot].tolist())
-    us = [(-k) % p]
-    d = _least_period(np.roll(rows[pivot], -k).tolist())
-    if d < p:
-        us = [(-k - t * d) % p for t in range(p // d)]
-    best = None
-    for u in us:
-        cand = np.concatenate([np.roll(row, u) for row in rows])
-        key = cand.tobytes()
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    n = blocks * p
+    c, i = np.divmod(np.arange(n), p)
+    cosets = np.stack([((c - s) % blocks) * p + (pow(mult, -s, p) * i) % p
+                       for s in range(blocks)])
+    rot = c * p + (i - np.arange(p)[:, None]) % p
+    return cosets, rot
+
+
+def _lexmin_row(M: np.ndarray) -> int:
+    """Index of the lexicographically least row of a 0/1 matrix."""
+    packed = np.packbits(M, axis=1)  # the first entry is the most significant
+    words = np.zeros((M.shape[0], -(-packed.shape[1] // 8)), dtype=">u8")
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return int(np.lexsort(words.T[::-1])[0])
 
 
 def canonical_representative(
@@ -296,22 +287,18 @@ def canonical_representative(
 
     `bits` is a block-major 0/1 vector of length blocks*p; `mult` is the
     block-advance multiplier (b on the check side, a on the variable side).
-    Cost O(blocks^2 * p): one Booth scan per block-advance coset.
+    Lists the blocks*p orbit members as the rows of one matrix and picks the
+    least: O((blocks*p)^2) time and memory, all of it in numpy.
     """
     v = np.asarray(bits, dtype=np.uint8)
+    if blocks < 1 or p < 1:
+        raise ValueError("need blocks >= 1 and p >= 1")
     if v.ndim != 1 or v.size != blocks * p:
         raise ValueError("coloring length must equal blocks*p")
-    if not np.isin(v, (0, 1)).all():
+    if (v > 1).any():
         raise ValueError("coloring entries must be 0/1")
     if pow(mult, blocks, p) != 1:
         raise ValueError("multiplier^blocks != 1 mod p")
-    best = None
-    for s in range(blocks):
-        perm = _necklace_perm(blocks, p, s, pow(mult, s, p), 0)
-        w = np.empty_like(v)
-        w[perm.mapping] = v
-        cand = _min_simultaneous_rotation(w, blocks, p)
-        key = cand.tobytes()
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    cosets, rot = _orbit_index(p, blocks, mult)
+    orbit = v[cosets][:, rot].reshape(blocks * p, blocks * p)
+    return orbit[_lexmin_row(orbit)].copy()

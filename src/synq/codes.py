@@ -6,7 +6,8 @@ numpy's ``bitorder="little"`` over little-endian bytes.  XOR is vector
 addition over GF(2), ``int.bit_count()`` is the Hamming weight.  The
 syndrome of an error pattern e is the XOR of the parity-check columns
 selected by the set bits of e.  This module is the only place that converts:
-`bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors, and
+`bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors,
+`ints_to_bits` from a list of packed ints to a 0/1 matrix, and
 `ParityCheckMatrix.syndrome_batch` from a (B, n) pattern matrix to its
 (B, m) syndromes; every other module calls them.
 
@@ -50,6 +51,21 @@ def int_to_bits(x: int, length: int) -> np.ndarray:
         raise ValueError(f"value does not fit in {length} bits")
     raw = np.frombuffer(x.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=length, bitorder="little")
+
+
+def ints_to_bits(xs, length: int) -> np.ndarray:
+    """Unpack a sequence of ints into a (len(xs), length) uint8 matrix,
+    row r holding int_to_bits(xs[r], length)."""
+    nbytes = (length + 7) // 8
+    try:
+        raw = b"".join(x.to_bytes(nbytes, "little") for x in xs)
+    except OverflowError:
+        raise ValueError(f"value does not fit in {length} bits") from None
+    rows = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(xs), nbytes),
+                         axis=1, bitorder="little")
+    if rows[:, length:].any():
+        raise ValueError(f"value does not fit in {length} bits")
+    return rows[:, :length]
 
 
 def support(x: int):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import int_to_bits
+from .codes import int_to_bits, ints_to_bits
 from .mdp import Step, SyndromeMdp, epsilon_greedy, rollout
 from .tabular import epsilon_at, parse_model_file
 
@@ -113,8 +113,7 @@ class MlpNetwork:
         return self.forward(int_to_bits(s, self.m).astype(np.float64))
 
     def q_values_batch(self, states: list[int]) -> np.ndarray:
-        X = np.stack([int_to_bits(s, self.m) for s in states]).astype(np.float64)
-        return self.forward_batch(X)
+        return self.forward_batch(ints_to_bits(states, self.m).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +207,27 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
+        """p -= lr * (m / b1c) / (sqrt(v / b2c) + eps) after the moment
+        updates, computed in place with every operation in that order, so
+        the result is bit-identical to the one-line expression."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            num = np.divide(m, b1c)
+            num *= self.lr
+            den = np.divide(v, b2c, out=g2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p -= num
 
 
 class Sgd:
@@ -263,23 +275,6 @@ class DqnConfig:
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
 
 
-class _StateCache:
-    """Bounded syndrome -> float-vector unpacking cache."""
-
-    def __init__(self, m: int, limit: int = 1 << 19):
-        self.m = m
-        self.limit = limit
-        self._d: dict[int, np.ndarray] = {}
-
-    def get(self, s: int) -> np.ndarray:
-        x = self._d.get(s)
-        if x is None:
-            x = int_to_bits(s, self.m).astype(np.float64)
-            if len(self._d) < self.limit:
-                self._d[s] = x
-        return x
-
-
 def train_dqn(
     env: SyndromeMdp,
     cfg: DqnConfig,
@@ -315,12 +310,11 @@ def train_dqn(
     opt = (Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
            if cfg.optimizer == "adam" else Sgd(params, cfg.lr))
     buffer = ReplayBuffer(cfg.buffer_capacity)
-    cache = _StateCache(m)
     gamma = env.cfg.gamma
     grad_steps = 0
 
     def greedy(s):
-        return int(np.argmax(primary.forward(cache.get(s))))
+        return int(np.argmax(primary.q_values(s)))
 
     for ep in range(cfg.episodes):
         eps = epsilon_at(ep, cfg.eps_max, cfg.eps_min, cfg.episodes)
@@ -328,8 +322,8 @@ def train_dqn(
             buffer.push(tr)
             if len(buffer) >= cfg.batch:
                 batch = buffer.sample(rng, cfg.batch)
-                S = np.stack([cache.get(tr.s) for tr in batch])
-                S2 = np.stack([cache.get(tr.s_next) for tr in batch])
+                S = ints_to_bits([tr.s for tr in batch], m).astype(np.float64)
+                S2 = ints_to_bits([tr.s_next for tr in batch], m).astype(np.float64)
                 A = np.array([tr.a for tr in batch])
                 R = np.array([tr.r for tr in batch])
                 T = np.array([tr.terminal for tr in batch])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.automorphism import (GroupElement, IndexPermutation,
@@ -269,6 +269,25 @@ def test_canonical_matches_brute_force_orbit_minimum():
         assert np.array_equal(got, want)
 
 
+#: (p, blocks, mult) with mult^blocks = 1 mod p, up to 155 beads, so the
+#: packed rows span one to three 64-bit words
+_GROUPS = [(p, blocks, mult) for p in (3, 5, 7, 11, 13, 31)
+           for blocks in range(1, 6) for mult in range(1, p)
+           if pow(mult, blocks, p) == 1 and blocks * p <= 155]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GROUPS), st.data())
+def test_canonical_matches_brute_force_on_random_groups(group, data):
+    p, blocks, mult = group
+    # few ones, or few zeros: many orbit members then tie on the first word
+    bits = np.full(blocks * p, data.draw(st.integers(0, 1)), dtype=np.uint8)
+    bits[list(data.draw(st.sets(st.integers(0, blocks * p - 1))))] ^= 1
+    got = canonical_representative(bits, p, blocks, mult)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _orbit_min(bits, p, blocks, mult))
+
+
 def test_canonical_is_orbit_invariant():
     rng = rng_for_tests(40)
     p, blocks, mult = 7, 3, 2
@@ -296,3 +315,5 @@ def test_canonical_validation():
         canonical_representative(np.full(21, 2, dtype=np.uint8), 7, 3, 2)
     with pytest.raises(ValueError):
         canonical_representative(np.zeros(21, dtype=np.uint8), 7, 3, 3)
+    with pytest.raises(ValueError):
+        canonical_representative(np.zeros(0, dtype=np.uint8), 7, 0, 2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_levels,
                         ball_size, ball_syndrome_weights, bits_to_int, build_qc_ldpc,
                         gf2_rank, hamming_ball_syndromes, int_to_bits,
+                        ints_to_bits,
                         is_prime, load_alist, multiplicative_order,
                         random_parity_check, save_alist, support)
 from conftest import ball_reference, random_codes, rng_for_tests
@@ -76,6 +77,27 @@ def test_unpacking_matches_reference_loops(width_and_value):
     assert int_to_bits(x, n).tolist() == [x >> i & 1 for i in range(n)]
     got = support(x)
     assert got == ref_support(x) and all(type(i) is int for i in got)
+
+
+@given(WIDTHS.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=40))))
+def test_batch_unpacking_matches_rows(width_and_values):
+    n, xs = width_and_values
+    rows = ints_to_bits(xs, n)
+    assert rows.dtype == np.uint8 and rows.shape == (len(xs), n)
+    assert rows.tolist() == [[x >> i & 1 for i in range(n)] for x in xs]
+
+
+@given(WIDTHS, st.data())
+def test_batch_unpacking_rejects_values_that_do_not_fit(n, data):
+    bad = data.draw(st.one_of(st.integers(max_value=-1),
+                              st.integers(min_value=2**n, max_value=2**(n + 20))))
+    xs = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=5))
+    xs.insert(data.draw(st.integers(0, len(xs))), bad)
+    with pytest.raises(ValueError):
+        ints_to_bits(xs, n)
+    with pytest.raises(ValueError):
+        int_to_bits(bad, n)
 
 
 def test_gf2_rank():
