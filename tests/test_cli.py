@@ -247,6 +247,21 @@ def _model_files(root):
     return files
 
 
+# SHA-256 of the four files `_model_files` writes: the container frames and
+# both payload layouts, binary and text, are pinned byte for byte.
+MODEL_FILE_DIGESTS = [
+    "90d979746838a8835067a66ea3629bea605f32119a07a0fd28fc622c0aba62c4",  # .qtab
+    "e3a63e58bd7177dd2e56db2260bbcf188969c3e8c8723fe7546a4774d2d37502",  # qtable text
+    "c414c7c66e0fcbf39385969d92b7844821bf861188055165003b381770c72401",  # .qnet
+    "781871d69bbfcb8074fab25e4f3666ee05bf2ea8bc797ea84a3a4c11cb3d4370",  # qnet text
+]
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    got = [hashlib.sha256(blob).hexdigest() for blob, _ in _model_files(tmp_path)]
+    assert got == MODEL_FILE_DIGESTS
+
+
 @settings(max_examples=300, deadline=None)
 @given(which=st.integers(0, 3), keep=st.none() | st.floats(0.0, 1.0),
        flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
