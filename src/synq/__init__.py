@@ -9,8 +9,9 @@ Modules
 codes         parity-check matrices, quasi-cyclic construction, alist I/O
 channel       keyed per-frame binary symmetric channel sampling
 mdp           the syndrome-decoding decision process and reward variants
-tabular       Q-learning on sparse syndrome tables, QTAB persistence
-neural        from-scratch MLP Q-network, DQN training, QNET persistence
+tabular       Q-learning on sparse syndrome tables, the QTAB payload
+neural        from-scratch MLP Q-network, DQN training, the QNET payload
+modelfile     the one model-file container: frame, text twin, checked reader
 decoders      greedy / action-list / bit-flipping / feedback / ensemble
 automorphism  circulant permutation group, orbit counting, canonical forms
 analysis      performance bounds, exhaustive sweeps, syndrome classification

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from . import analysis, automorphism, decoders, neural, sim, tabular
+from . import analysis, automorphism, decoders, modelfile, neural, sim, tabular
 from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, build_qc_ldpc,
                     hamming_ball_syndromes, load_alist, save_alist, support)
 from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
@@ -30,17 +30,15 @@ from .mdp import MdpConfig, SyndromeMdp, SyndromeSets
 # ---------------------------------------------------------------------------
 
 
-#: flags that name inputs and outputs; every other flag is a config field
-_NOT_CONFIG = {"help", "config", "code", "qc", "out", "text_out", "model",
-               "decoder", "error", "checkpoint", "gnuplot"}
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _config(args) -> dict:
     """File config (if any) overridden by explicitly supplied flags.
 
-    The config fields of a subcommand are its flags outside `_NOT_CONFIG`; a
-    file value must have its flag's type (``rhos`` may also list numbers).
+    The config fields of a subcommand are the flags `_code_args` gave it; a
+    file may hold only those and ``code``, each value of its flag's type
+    (``rhos`` may also list numbers).
     """
     cfg = {}
     if getattr(args, "config", None):
@@ -48,6 +46,9 @@ def _config(args) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
+        unknown = sorted(cfg.keys() - args.fields.keys() - {"code"})
+        if unknown:
+            raise ValueError(f"config {args.config}: unknown key {unknown[0]!r}")
         for key, flag_type in args.fields.items():
             value = cfg.get(key)
             if key in cfg and not (type(value) in _JSON_TYPES[flag_type] or key == "rhos"
@@ -78,11 +79,23 @@ def _resolve_code(cfg) -> ParityCheckMatrix:
     raise ValueError(f"cannot interpret code spec {code!r}")
 
 
-def _code_args(sub):
+#: config-field flags shared by several subcommands, as (flag, type)
+_BF_FIELDS = (("--tau", int), ("--bf-max-iter", int))
+_TRAIN_FIELDS = (("--variant", str), ("--w", int), ("--gamma", float), ("--L", int),
+                 ("--episodes", int), ("--eps-max", float), ("--eps-min", float),
+                 ("--seed", int), ("--sample-w", int), *_BF_FIELDS)
+_DECODER_FIELDS = (("--k", int), ("--d-max", int), *_BF_FIELDS)
+
+
+def _code_args(sub, *fields):
+    """--code, --qc, --config and the subcommand's config fields, as (flag, type)."""
     sub.add_argument("--code", help="'tanner' or an alist file path")
     sub.add_argument("--qc", type=int, nargs=5, metavar=("P", "J", "K", "A", "B"),
                      help="quasi-cyclic parameters p j k_blocks a b")
     sub.add_argument("--config", help="JSON configuration file")
+    added = [sub.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
+             for flag, typ in fields]
+    sub.set_defaults(fields={a.dest: a.type for a in added})
 
 
 def _write_sidecar(out_path: str, cfg: dict) -> None:
@@ -91,21 +104,20 @@ def _write_sidecar(out_path: str, cfg: dict) -> None:
         fh.write("\n")
 
 
+_LOADERS = {modelfile.QTAB: tabular.load_qtable, modelfile.QNET: neural.load_network}
+
+
 def _load_model(path: str, H: ParityCheckMatrix):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"QTAB":
-        model = tabular.load_qtable(path)
-    elif magic == b"QNET":
-        model = neural.load_network(path)
-    else:
-        raise ValueError(f"{path}: unknown model format")
+    model = _LOADERS[modelfile.format_of(path)](path)
     got = model.meta.get("code_hash")
     if got != H.code_hash:
         raise ValueError(
             f"model {path} was trained for code {str(got)[:12]}..., "
             f"given code {H.code_hash[:12]}..."
         )
+    if (model.n, model.m) != (H.n, H.m):
+        raise ValueError(f"model {path} has n = {model.n}, m = {model.m}; "
+                         f"the code has n = {H.n}, m = {H.m}")
     return model
 
 
@@ -353,77 +365,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_code)
 
     p = sub.add_parser("train-q", help="train a tabular policy")
-    _code_args(p)
-    p.add_argument("--variant")
-    p.add_argument("--w", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--eps-max", dest="eps_max", type=float)
-    p.add_argument("--eps-min", dest="eps_min", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sample-w", dest="sample_w", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--bf-max-iter", dest="bf_max_iter", type=int)
+    _code_args(p, *_TRAIN_FIELDS, ("--alpha", float))
     p.add_argument("--out", required=True)
     p.add_argument("--text-out", dest="text_out")
     p.set_defaults(func=cmd_train_q)
 
     p = sub.add_parser("train-dqn", help="train a network policy")
-    _code_args(p)
-    for flag, typ in [("--variant", str), ("--w", int), ("--gamma", float),
-                      ("--L", int), ("--episodes", int), ("--hidden", int),
-                      ("--batch", int), ("--lr", float), ("--buffer", int),
-                      ("--optimizer", str), ("--seed", int),
-                      ("--sample-w", int), ("--tau", int)]:
-        p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
-    p.add_argument("--eps-max", dest="eps_max", type=float)
-    p.add_argument("--eps-min", dest="eps_min", type=float)
-    p.add_argument("--sync-every", dest="sync_every", type=int)
-    p.add_argument("--bf-max-iter", dest="bf_max_iter", type=int)
+    _code_args(p, *_TRAIN_FIELDS, ("--hidden", int), ("--batch", int),
+              ("--lr", float), ("--buffer", int), ("--optimizer", str),
+              ("--sync-every", int))
     p.add_argument("--out", required=True)
     p.add_argument("--text-out", dest="text_out")
     p.set_defaults(func=cmd_train_dqn)
 
     p = sub.add_parser("decode", help="decode one error pattern")
-    _code_args(p)
+    _code_args(p, *_DECODER_FIELDS)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
                    choices=list(sim.DECODERS))
     p.add_argument("--error", default="",
                    help="1-based positions '3,17', hex '0x11', or '' for none")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d-max", dest="d_max", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--bf-max-iter", dest="bf_max_iter", type=int)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte Carlo FER/BER curve")
-    _code_args(p)
+    _code_args(p, ("--rhos", str), ("--max-frames", int), ("--target-errors", int),
+              ("--seed", int), ("--batch", int), ("--workers", int),
+              *_DECODER_FIELDS)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
                    choices=list(sim.DECODERS))
-    p.add_argument("--rhos")
-    p.add_argument("--max-frames", dest="max_frames", type=int)
-    p.add_argument("--target-errors", dest="target_errors", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d-max", dest="d_max", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--bf-max-iter", dest="bf_max_iter", type=int)
     p.add_argument("--out")
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enum-failures", help="exhaustive decoder sweep")
-    _code_args(p)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--bf-max-iter", dest="bf_max_iter", type=int)
-    p.add_argument("--w-max", dest="w_max", type=int)
-    p.add_argument("--workers", type=int)
+    _code_args(p, *_BF_FIELDS, ("--w-max", int), ("--workers", int))
     p.add_argument("--checkpoint")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enum_failures)
@@ -469,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-ball", dest="w_ball", type=int)
     p.add_argument("--t", type=int)
     p.set_defaults(func=cmd_guarantee)
-
-    for p in sub.choices.values():
-        p.set_defaults(fields={a.dest: a.type or str for a in p._actions
-                               if a.dest not in _NOT_CONFIG})
     return ap
 
 

@@ -6,31 +6,26 @@ periodically synchronized target copy, samples uniform minibatches from a
 ring replay buffer, and takes one gradient step per environment step once
 the buffer can fill a batch.
 
-File formats:
+Files are `modelfile.QNET` containers, binary or text, with the header
+keys sizes [m, hidden, n], activation, code_hash and config, and this
+payload, whose shapes must match sizes:
 
-  binary .qnet:  magic "QNET" | u32 version=1 | u32 header_len
-                 | header JSON (sizes [m, hidden, n], activation, code_hash,
-                   config; sorted keys)
-                 | parameter blocks in order W1 (hidden x m), b1, W2
-                   (n x hidden), b2, each row-major little-endian float64
-  text export:   line "qnet/v1", line "meta <header JSON>", then one line
-                 per tensor: "<name> <rows> <cols> <float.hex() ...>".
+  binary .qnet:  parameter blocks in order W1 (hidden x m), b1, W2
+                 (n x hidden), b2, each row-major little-endian float64
+  text export:   one line per tensor, same order:
+                 "<name> <rows> <cols> <float.hex() ...>".
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import modelfile
 from .codes import int_to_bits, ints_to_bits
 from .mdp import Step, SyndromeMdp, epsilon_greedy, rollout
-from .tabular import epsilon_at, parse_model_file
-
-_MAGIC = b"QNET"
-_VERSION = 1
+from .tabular import epsilon_at
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +34,7 @@ _VERSION = 1
 
 
 class MlpNetwork:
+    """`meta` is the file header and always holds sizes and activation."""
 
     def __init__(self, W1, b1, W2, b2, activation: str = "relu",
                  meta: dict | None = None):
@@ -49,9 +45,9 @@ class MlpNetwork:
         self.W2 = np.asarray(W2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.activation = activation
-        self.meta = dict(meta or {})
         hid, m = self.W1.shape
         n, hid2 = self.W2.shape
+        self.meta = {**(meta or {}), "sizes": [m, hid, n], "activation": activation}
         if hid != hid2 or self.b1.shape != (hid,) or self.b2.shape != (n,):
             raise ValueError("layer shapes are inconsistent")
         for p in (self.W1, self.b1, self.W2, self.b2):
@@ -293,8 +289,6 @@ def train_dqn(
     )
     meta = {
         "code_hash": H.code_hash,
-        "sizes": [m, cfg.hidden, n],
-        "activation": "relu",
         "config": {
             "episodes": cfg.episodes, "batch": cfg.batch, "lr": cfg.lr,
             "eps_max": cfg.eps_max, "eps_min": cfg.eps_min,
@@ -344,83 +338,55 @@ def train_dqn(
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: the QNET payload of a `modelfile` container
 # ---------------------------------------------------------------------------
 
 
-def _net_header(net: MlpNetwork) -> bytes:
-    meta = dict(net.meta)
-    meta["sizes"] = list(net.sizes)
-    meta["activation"] = net.activation
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+def _network_from(meta: dict, tensors: dict[str, np.ndarray]) -> MlpNetwork:
+    net = MlpNetwork(tensors["W1"], tensors["b1"].ravel(), tensors["W2"],
+                     tensors["b2"].ravel(), meta.get("activation", "relu"), meta)
+    if list(net.sizes) != meta["sizes"]:
+        raise ValueError(f"tensors have sizes {list(net.sizes)}, "
+                         f"header says {meta['sizes']}")
+    return net
 
 
 def save_network(net: MlpNetwork, path) -> None:
-    header = _net_header(net)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(header)))
-        fh.write(header)
-        for p in (net.W1, net.b1, net.W2, net.b2):
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    modelfile.save(path, modelfile.QNET, net.meta, (
+        np.ascontiguousarray(p, dtype="<f8").tobytes()
+        for p in net.params().values()))
 
 
 def load_network(path) -> MlpNetwork:
-    return parse_model_file(path, _network_from_bytes, "network file")
+    return modelfile.load(path, modelfile.QNET, _network_from_payload)
 
 
-def _network_from_bytes(blob: bytes) -> MlpNetwork:
-    if blob[:4] != _MAGIC:
-        raise ValueError("not a network file")
-    version, hlen = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported network version {version}")
-    meta = json.loads(blob[12:12 + hlen].decode())
+def _network_from_payload(meta: dict, payload: memoryview) -> MlpNetwork:
     m, hidden, n = meta["sizes"]
-    off = 12 + hlen
-    shapes = [("W1", (hidden, m)), ("b1", (hidden,)), ("W2", (n, hidden)),
-              ("b2", (n,))]
-    need = sum(int(np.prod(sh)) for _, sh in shapes) * 8
-    if len(blob) - off != need:
+    shapes = [(hidden, m), (hidden,), (n, hidden), (n,)]
+    ends = np.cumsum([np.prod(sh, dtype=int) for sh in shapes])
+    if len(payload) != 8 * ends[-1]:
         raise ValueError("truncated network file")
-    tensors = {}
-    for name, sh in shapes:
-        size = int(np.prod(sh)) * 8
-        tensors[name] = np.frombuffer(blob[off:off + size], dtype="<f8").reshape(sh).copy()
-        off += size
-    return MlpNetwork(tensors["W1"], tensors["b1"], tensors["W2"], tensors["b2"],
-                      meta.get("activation", "relu"), meta)
+    flat = np.split(np.frombuffer(payload, "<f8").copy(), ends[:-1])
+    return _network_from(meta, {name: p.reshape(sh) for name, p, sh
+                                in zip(("W1", "b1", "W2", "b2"), flat, shapes)})
 
 
 def save_network_text(net: MlpNetwork, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("qnet/v1\n")
-        fh.write("meta " + _net_header(net).decode() + "\n")
-        for name, p in net.params().items():
-            mat = np.atleast_2d(p)
-            values = " ".join(float(v).hex() for v in mat.ravel())
-            fh.write(f"{name} {mat.shape[0]} {mat.shape[1]} {values}\n")
+    mats = {name: np.atleast_2d(p) for name, p in net.params().items()}
+    modelfile.save_text(path, modelfile.QNET, net.meta, (
+        f"{name} {a.shape[0]} {a.shape[1]} " + " ".join(float(v).hex() for v in a.ravel())
+        for name, a in mats.items()))
 
 
 def load_network_text(path) -> MlpNetwork:
-    return parse_model_file(path, _network_from_text, "network text export")
+    return modelfile.load_text(path, modelfile.QNET, _network_from_lines)
 
 
-def _network_from_text(blob: bytes) -> MlpNetwork:
-    lines = blob.decode().splitlines()
-    if not lines or lines[0] != "qnet/v1":
-        raise ValueError("not a network text export")
-    if len(lines) < 2 or not lines[1].startswith("meta "):
-        raise ValueError("missing meta line")
-    meta = json.loads(lines[1][5:])
+def _network_from_lines(meta: dict, lines: list[str]) -> MlpNetwork:
     tensors = {}
-    for line in lines[2:]:
-        if not line:
-            continue
+    for line in lines:
         name, rows, cols, *values = line.split()
-        arr = np.array([float.fromhex(v) for v in values]).reshape(int(rows), int(cols))
-        tensors[name] = arr
-    return MlpNetwork(
-        tensors["W1"], tensors["b1"].ravel(), tensors["W2"], tensors["b2"].ravel(),
-        meta.get("activation", "relu"), meta,
-    )
+        tensors[name] = np.array([float.fromhex(v) for v in values]).reshape(
+            int(rows), int(cols))
+    return _network_from(meta, tensors)

@@ -5,31 +5,27 @@ read as all-zero rows, so terminal states (never updated, episodes stop
 there) keep the zero value the bootstrap relies on.  Greedy ties resolve to
 the lowest action index.
 
-File formats (versioned, documented here and in the README):
+Files are `modelfile.QTAB` containers, binary or text, with the header
+keys code_hash, n, m, variant and config, and this payload:
 
-  binary .qtab:  magic "QTAB" | u32 version=1 | u32 header_len
-                 | header JSON (code_hash, n, m, variant, config; sorted keys)
-                 | u64 record_count
-                 | records sorted by syndrome: ceil(m/8)-byte little-endian
-                   syndrome, then n little-endian float64 action values
-  text export:   line "qtable/v1", line "meta <header JSON>", then per state
+  binary .qtab:  u64 little-endian record_count, then one record per state in
+                 strictly increasing syndrome order: ceil(m/8)-byte
+                 little-endian syndrome (< 2^m), then n little-endian float64
+                 action values
+  text export:   one line per state, same order:
                  "<syndrome hex> <float.hex() ...>" -- lossless round-trip.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import modelfile
 from .codes import ParityCheckMatrix
 from .mdp import SyndromeMdp, epsilon_greedy, rollout
-
-_MAGIC = b"QTAB"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class QTable:
     """Sparse syndrome-indexed action-value table.
 
     dtype float32 halves resident memory for multi-million-state runs; files
-    always store float64.
+    always store float64.  `meta` is the file header and always holds n, m.
     """
 
     def __init__(self, n: int, m: int, meta: dict | None = None,
@@ -71,7 +67,7 @@ class QTable:
             raise ValueError(f"table needs n, m >= 1, got {n!r}, {m!r}")
         self.n = n
         self.m = m
-        self.meta = dict(meta or {})
+        self.meta = {**(meta or {}), "n": n, "m": m}
         self.dtype = np.dtype(dtype)
         self._rows: dict[int, np.ndarray] = {}
         self._zero = np.zeros(n, dtype=self.dtype)
@@ -177,8 +173,6 @@ def train_q(
     )
     Q = QTable(n, H.m, dtype=cfg.dtype, meta={
         "code_hash": H.code_hash,
-        "n": n,
-        "m": H.m,
         "variant": env.cfg.variant,
         "config": {
             "episodes": cfg.episodes, "alpha": cfg.alpha,
@@ -200,93 +194,59 @@ def train_q(
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: the QTAB payload of a `modelfile` container
 # ---------------------------------------------------------------------------
 
 
-def _header_bytes(Q: QTable) -> bytes:
-    return json.dumps(Q.meta, sort_keys=True, separators=(",", ":")).encode()
-
-
-def parse_model_file(path, parse: Callable[[bytes], object], what: str):
-    """parse(contents of path), with any malformed content raised as ValueError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return parse(blob)
-    except (ValueError, LookupError, TypeError, AttributeError, OverflowError,
-            MemoryError, struct.error) as exc:  # MemoryError: absurd header sizes
-        raise ValueError(f"malformed {what} {path}: {exc}") from None
+def _add_record(Q: QTable, s: int, row: np.ndarray) -> None:
+    if s >> Q.m:
+        raise ValueError(f"record syndrome {s:x} has more than m = {Q.m} bits")
+    if Q._rows and s <= next(reversed(Q._rows)):
+        raise ValueError(f"record syndrome {s:x} is not above the one before")
+    Q._rows[s] = row
 
 
 def save_qtable(Q: QTable, path) -> None:
-    syn_bytes = (Q.m + 7) // 8
-    header = _header_bytes(Q)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<Q", len(Q)))
+    width = (Q.m + 7) // 8
+
+    def payload():
+        yield len(Q).to_bytes(8, "little")
         for s in sorted(Q.states()):
-            fh.write(s.to_bytes(syn_bytes, "little"))
-            fh.write(Q._rows[s].astype("<f8").tobytes())
+            yield s.to_bytes(width, "little") + Q._rows[s].astype("<f8").tobytes()
+    modelfile.save(path, modelfile.QTAB, Q.meta, payload())
 
 
 def load_qtable(path) -> QTable:
-    return parse_model_file(path, _qtable_from_bytes, "qtable file")
+    return modelfile.load(path, modelfile.QTAB, _qtable_from_payload)
 
 
-def _qtable_from_bytes(blob: bytes) -> QTable:
-    if blob[:4] != _MAGIC:
-        raise ValueError("not a qtable file")
-    version, hlen = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported qtable version {version}")
-    meta = json.loads(blob[12:12 + hlen].decode())
-    off = 12 + hlen
-    (count,) = struct.unpack_from("<Q", blob, off)
-    off += 8
+def _qtable_from_payload(meta: dict, payload: memoryview) -> QTable:
     Q = QTable(meta["n"], meta["m"], meta)
-    syn_bytes = (Q.m + 7) // 8
-    rec = syn_bytes + 8 * Q.n
-    if len(blob) - off != count * rec:
-        raise ValueError(f"truncated qtable ({len(blob) - off} payload bytes)")
-    for _ in range(count):
-        s = int.from_bytes(blob[off:off + syn_bytes], "little")
-        off += syn_bytes
-        Q._rows[s] = np.frombuffer(blob[off:off + 8 * Q.n], dtype="<f8").copy()
-        off += 8 * Q.n
+    width = (Q.m + 7) // 8
+    rec = width + 8 * Q.n
+    if len(payload) - 8 != int.from_bytes(payload[:8], "little") * rec:
+        raise ValueError(f"truncated qtable ({len(payload) - 8} payload bytes)")
+    for off in range(8, len(payload), rec):
+        _add_record(Q, int.from_bytes(payload[off:off + width], "little"),
+                    np.frombuffer(payload, "<f8", Q.n, off + width).copy())
     return Q
 
 
 def save_qtable_text(Q: QTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("qtable/v1\n")
-        fh.write("meta " + _header_bytes(Q).decode() + "\n")
-        for s in sorted(Q.states()):
-            values = " ".join(float(v).hex() for v in Q._rows[s])
-            fh.write(f"{s:x} {values}\n")
+    modelfile.save_text(path, modelfile.QTAB, Q.meta, (
+        f"{s:x} " + " ".join(float(v).hex() for v in Q._rows[s])
+        for s in sorted(Q.states())))
 
 
 def load_qtable_text(path) -> QTable:
-    return parse_model_file(path, _qtable_from_text, "qtable text export")
+    return modelfile.load_text(path, modelfile.QTAB, _qtable_from_lines)
 
 
-def _qtable_from_text(blob: bytes) -> QTable:
-    lines = blob.decode().splitlines()
-    if not lines or lines[0] != "qtable/v1":
-        raise ValueError("not a qtable text export")
-    if len(lines) < 2 or not lines[1].startswith("meta "):
-        raise ValueError("missing meta line")
-    meta = json.loads(lines[1][5:])
+def _qtable_from_lines(meta: dict, lines: list[str]) -> QTable:
     Q = QTable(meta["n"], meta["m"], meta)
-    for line in lines[2:]:
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != Q.n + 1:
+    for line in lines:
+        s, *values = line.split()
+        if len(values) != Q.n:
             raise ValueError("bad record width")
-        Q._rows[int(fields[0], 16)] = np.array(
-            [float.fromhex(v) for v in fields[1:]]
-        )
+        _add_record(Q, int(s, 16), np.array([float.fromhex(v) for v in values]))
     return Q

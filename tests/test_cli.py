@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.cli import main
-from synq.codes import build_qc_ldpc, load_alist, QcLdpcSpec
+from synq.codes import TANNER_SPEC, build_qc_ldpc, load_alist, QcLdpcSpec
 from synq.neural import (MlpNetwork, load_network, load_network_text,
                          save_network, save_network_text)
 from synq.tabular import (QTable, load_qtable, load_qtable_text, save_qtable,
@@ -64,7 +64,8 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     (["simulate", "--decoder", "bf"], {"rhos": 5}),
     (["train-q", "--out", "x.qtab"], {"w": "x", "variant": "truncated"}),
     (["build-code"], {"code": [7, 3, 3, 2, None]}),
-], ids=["rhos", "w", "code"])
+    (["enum-failures", *SMALL, "--tau", "1", "--out", "u.csv"], {"w_maxx": 1}),
+], ids=["rhos", "w", "code", "unknown key"])
 def test_config_field_of_the_wrong_type_is_a_usage_error(tmp_path, monkeypatch,
                                                         capsys, argv, fields):
     monkeypatch.chdir(tmp_path)
@@ -86,6 +87,14 @@ def test_train_q_writes_model_and_sidecar(small_qtab):
     with open(str(small_qtab) + ".config.json") as fh:
         sidecar = json.load(fh)
     assert sidecar["episodes"] == 2000 and sidecar["w"] == 1
+
+
+def test_train_q_sidecar_is_a_valid_config(tmp_path, small_qtab):
+    out = tmp_path / "again.qtab"
+    rc = main(["train-q", "--config", str(small_qtab) + ".config.json",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == small_qtab.read_bytes()
 
 
 def test_train_q_flags_override_config_file(tmp_path):
@@ -230,6 +239,27 @@ def test_decode_qnet_without_sizes_is_a_usage_error(tmp_path, capsys):
     assert "malformed" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("command", [
+    ["decode", "--error", "1"],
+    ["simulate", "--decoder", "greedy", "--rhos", "0.01", "--max-frames", "200",
+     "--target-errors", "1000"],
+], ids=["decode", "simulate"])
+@pytest.mark.parametrize("kind, n, m", [
+    ("qtab", 4, 93), ("qtab", 155, 92), ("qnet", 4, 93), ("qnet", 155, 92),
+])
+def test_model_sizes_must_match_the_code(tmp_path, capsys, command, kind, n, m):
+    code_hash = build_qc_ldpc(TANNER_SPEC).code_hash
+    path = tmp_path / f"narrow.{kind}"
+    if kind == "qtab":
+        Q = QTable(n, m, meta={"code_hash": code_hash, "n": n, "m": m})
+        Q.row(1)[:] = 1.0
+        save_qtable(Q, path)
+    else:
+        save_network(MlpNetwork.init(m, 8, n, meta={"code_hash": code_hash}), path)
+    assert main([*command, "--code", "tanner", "--model", str(path)]) == 2
+    assert f"n = {n}, m = {m}" in json.loads(capsys.readouterr().err)["error"]
+
+
 def _model_files(root):
     """One valid file per model format: (path, loader)."""
     Q = QTable(n=4, m=11, meta={"code_hash": "abc", "n": 4, "m": 11})
@@ -262,8 +292,28 @@ def test_model_file_bytes_are_pinned(tmp_path):
     assert got == MODEL_FILE_DIGESTS
 
 
+def _decode_through_cli(path):
+    """`synq decode` on a model file ends with a decode status or exit 2."""
+    assert main(["decode", *SMALL, "--model", str(path), "--error", "3"]) in (0, 1, 2)
+
+
+def _small_code_model_files(root):
+    """A table and a network for the SMALL code, fed to `synq decode`; the
+    undamaged table corrects the error at bit 3 in one step."""
+    H = build_qc_ldpc(QcLdpcSpec(7, 3, 3, 2, 4))
+    Q = QTable(H.n, H.m, meta={"code_hash": H.code_hash})
+    Q.row(H.cols_int[2])[:] = -1.0
+    Q.row(H.cols_int[2])[2] = 1.0
+    save_qtable(Q, root / "small.qtab")
+    save_network(MlpNetwork.init(H.m, 4, H.n, seed=2,
+                                 meta={"code_hash": H.code_hash}),
+                 root / "small.qnet")
+    return [((root / name).read_bytes(), _decode_through_cli)
+            for name in ("small.qtab", "small.qnet")]
+
+
 @settings(max_examples=300, deadline=None)
-@given(which=st.integers(0, 3), keep=st.none() | st.floats(0.0, 1.0),
+@given(which=st.integers(0, 5), keep=st.none() | st.floats(0.0, 1.0),
        flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
                       max_size=3))
 def test_damaged_model_files_load_or_raise_value_error(tmp_path_factory, which,
@@ -271,7 +321,7 @@ def test_damaged_model_files_load_or_raise_value_error(tmp_path_factory, which,
     # keep: the fraction of the file left after truncation (None: all of it);
     # flips: (relative position, xor mask) byte corruptions
     root = tmp_path_factory.getbasetemp()
-    blob, load = _model_files(root)[which]
+    blob, load = (_model_files(root) + _small_code_model_files(root))[which]
     data = bytearray(blob if keep is None else blob[:int(keep * len(blob))])
     for where, mask in flips:
         if data:

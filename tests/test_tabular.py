@@ -268,6 +268,23 @@ def test_text_roundtrip_is_lossless(tmp_path):
         assert np.array_equal(R.q_values(s), Q.q_values(s))
 
 
+@pytest.mark.parametrize("second", [1 << 11, 3, 2],
+                         ids=["wider than m", "duplicate", "decreasing"])
+def test_load_rejects_bad_record_syndromes(tmp_path, second):
+    Q = _toy_table()  # records 3 and 1 << 10, m = 11
+    binary, text = tmp_path / "t.qtab", tmp_path / "t.qtable"
+    save_qtable(Q, binary)
+    blob = bytearray(binary.read_bytes())
+    rec = 2 + 8 * Q.n
+    blob[-rec:-rec + 2] = second.to_bytes(2, "little")
+    binary.write_bytes(bytes(blob))
+    save_qtable_text(Q, text)
+    text.write_text(text.read_text().replace("\n400 ", f"\n{second:x} "))
+    for path, load in [(binary, load_qtable), (text, load_qtable_text)]:
+        with pytest.raises(ValueError, match="record syndrome"):
+            load(path)
+
+
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.qtab"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
