@@ -15,6 +15,7 @@ library is 0-based.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,7 +39,9 @@ def _config(args) -> dict:
 
     The config fields of a subcommand are the flags `_code_args` gave it; a
     file may hold only those and ``code``, each value of its flag's type
-    (``rhos`` may also list numbers).
+    (``rhos`` may also list numbers), and is coerced to that type here: a
+    JSON ``1`` for a float field reads as ``1.0``.  ``rhos`` resolves to a
+    tuple of floats.
     """
     cfg = {}
     if getattr(args, "config", None):
@@ -50,16 +53,23 @@ def _config(args) -> dict:
         if unknown:
             raise ValueError(f"config {args.config}: unknown key {unknown[0]!r}")
         for key, flag_type in args.fields.items():
-            value = cfg.get(key)
-            if key in cfg and not (type(value) in _JSON_TYPES[flag_type] or key == "rhos"
-                                   and isinstance(value, list)
-                                   and all(type(v) in _JSON_TYPES[float] for v in value)):
+            if key not in cfg:
+                continue
+            value = cfg[key]
+            if type(value) in _JSON_TYPES[flag_type]:
+                cfg[key] = flag_type(value)
+            elif key == "rhos" and isinstance(value, list) and all(
+                    type(v) in _JSON_TYPES[float] for v in value):
+                cfg[key] = tuple(float(v) for v in value)
+            else:
                 raise ValueError(f"config {args.config}: {key} = {value!r} does "
                                  f"not fit the type of --{key.replace('_', '-')}")
     for key in args.fields:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+    if isinstance(cfg.get("rhos"), str):
+        cfg["rhos"] = tuple(float(v) for v in cfg["rhos"].split(","))
     if getattr(args, "qc", None):
         cfg["code"] = list(args.qc)
     if getattr(args, "code", None):
@@ -68,8 +78,19 @@ def _config(args) -> dict:
     return cfg
 
 
+#: config keys whose library config field has another name
+_FIELD_KEYS = {"buffer_capacity": "buffer", "max_iter": "bf_max_iter"}
+
+
+def _from_config(cls, cfg: dict, **defaults):
+    """The config dataclass `cls`, each field read from the config key of its
+    name; absent keys fall back to `defaults`, then to the field default."""
+    keys = {f.name: _FIELD_KEYS.get(f.name, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{**defaults, **{f: cfg[k] for f, k in keys.items() if k in cfg}})
+
+
 def _resolve_code(cfg) -> ParityCheckMatrix:
-    code = cfg.get("code", "tanner")
+    code = cfg["code"]
     if isinstance(code, str) and code == "tanner":
         return build_qc_ldpc(TANNER_SPEC)
     if isinstance(code, str):
@@ -140,19 +161,12 @@ def _parse_error_pattern(text: str, n: int) -> int:
     return e
 
 
-def _bf_config(cfg) -> decoders.BitFlipConfig:
-    return decoders.BitFlipConfig(tau=int(cfg.get("tau", 2)),
-                                  max_iter=int(cfg.get("bf_max_iter", 30)))
-
-
 def _train_env(args):
     """The config, and the training MDP it names with its sets and sampler."""
     cfg = _config(args)
     H = _resolve_code(cfg)
-    mdp_cfg = MdpConfig(L=int(cfg.get("L", 10)), gamma=float(cfg.get("gamma", 0.9)),
-                        variant=cfg.get("variant", MdpConfig.variant),
-                        w=cfg.get("w"))
-    bf = _bf_config(cfg)
+    mdp_cfg = _from_config(MdpConfig, cfg)
+    bf = _from_config(decoders.BitFlipConfig, cfg)
     need = mdp_cfg.set_names
     sets = {}
     if need & {"correct", "fail", "misc"}:
@@ -165,8 +179,7 @@ def _train_env(args):
     env = SyndromeMdp(H, mdp_cfg, SyndromeSets(**sets))
     if env.start_states is not None:
         return cfg, env, tabular.SetSampler(env.start_states)
-    w = cfg.get("sample_w") or mdp_cfg.w or 1
-    return cfg, env, tabular.BallSampler(H, int(w))
+    return cfg, env, tabular.BallSampler(H, cfg.get("sample_w") or mdp_cfg.w or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +200,8 @@ def cmd_build_code(args) -> int:
 
 def cmd_train_q(args) -> int:
     cfg, env, sampler = _train_env(args)
-    tcfg = tabular.TrainConfig(
-        episodes=int(cfg.get("episodes", 100_000)),
-        alpha=float(cfg.get("alpha", 0.1)),
-        eps_max=float(cfg.get("eps_max", 0.9)),
-        eps_min=float(cfg.get("eps_min", 0.05)),
-        seed=int(cfg.get("seed", 0)),
-    )
-    Q = tabular.train_q(env, tcfg, sampler)
+    Q = tabular.train_q(env, _from_config(tabular.TrainConfig, cfg, episodes=100_000),
+                        sampler)
     tabular.save_qtable(Q, args.out)
     if args.text_out:
         tabular.save_qtable_text(Q, args.text_out)
@@ -205,19 +212,8 @@ def cmd_train_q(args) -> int:
 
 def cmd_train_dqn(args) -> int:
     cfg, env, sampler = _train_env(args)
-    dcfg = neural.DqnConfig(
-        episodes=int(cfg.get("episodes", 100_000)),
-        hidden=int(cfg.get("hidden", 512)),
-        batch=int(cfg.get("batch", 128)),
-        lr=float(cfg.get("lr", 1e-4)),
-        eps_max=float(cfg.get("eps_max", 0.9)),
-        eps_min=float(cfg.get("eps_min", 0.05)),
-        buffer_capacity=int(cfg.get("buffer", 100_000)),
-        sync_every=int(cfg.get("sync_every", 1000)),
-        optimizer=cfg.get("optimizer", "adam"),
-        seed=int(cfg.get("seed", 0)),
-    )
-    net = neural.train_dqn(env, dcfg, sampler)
+    net = neural.train_dqn(env, _from_config(neural.DqnConfig, cfg, episodes=100_000),
+                           sampler)
     neural.save_network(net, args.out)
     if args.text_out:
         neural.save_network_text(net, args.text_out)
@@ -227,10 +223,8 @@ def cmd_train_dqn(args) -> int:
 
 
 def _make_decoder(kind, model, H, cfg):
-    beam = decoders.BeamConfig(k=int(cfg.get("k", 5)),
-                               d_max=int(cfg.get("d_max", 10)))
-    bf = _bf_config(cfg)
-    return sim.DECODERS[kind](model, H, beam, bf)
+    return sim.DECODERS[kind](model, H, _from_config(decoders.BeamConfig, cfg),
+                              _from_config(decoders.BitFlipConfig, cfg))
 
 
 def cmd_decode(args) -> int:
@@ -240,7 +234,8 @@ def cmd_decode(args) -> int:
     e = _parse_error_pattern(args.error, H.n)
     if args.decoder == "greedy":
         trace: list = []
-        res = decoders.greedy_decode(model, e, H, int(cfg.get("d_max", 10)), trace)
+        d_max = _from_config(decoders.BeamConfig, cfg).d_max
+        res = decoders.greedy_decode(model, e, H, d_max, trace)
         for step, (s, a, q) in enumerate(trace, 1):
             print(f"step={step} syndrome={s:x} action={a + 1} q={q!r}")
     else:
@@ -259,19 +254,10 @@ def cmd_decode(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config(args)
-    if isinstance(cfg.get("rhos"), str):
-        cfg["rhos"] = [float(v) for v in cfg["rhos"].split(",")]
     H = _resolve_code(cfg)
     model = _load_model(args.model, H) if args.model else decoders.ZeroQ(H.n)
     decoder = _make_decoder(args.decoder, model, H, cfg)
-    scfg = sim.SimConfig(
-        rhos=tuple(cfg.get("rhos", ())),
-        max_frames=int(cfg.get("max_frames", 100_000)),
-        target_errors=int(cfg.get("target_errors", 100)),
-        seed=int(cfg.get("seed", 0)),
-        batch=int(cfg.get("batch", 1000)),
-        workers=int(cfg.get("workers", 1)),
-    )
+    scfg = _from_config(sim.SimConfig, cfg)
     if not scfg.rhos:
         raise ValueError("no crossover probabilities given (--rhos)")
     points = sim.run_curve(decoder, H.n, scfg, csv_path=args.out,
@@ -286,10 +272,9 @@ def cmd_simulate(args) -> int:
 def cmd_enum_failures(args) -> int:
     cfg = _config(args)
     H = _resolve_code(cfg)
-    bf = _bf_config(cfg)
     enum = analysis.enumerate_failures(
-        H, bf, w_max=int(cfg.get("w_max", 2)),
-        workers=int(cfg.get("workers", 1)), checkpoint=args.checkpoint,
+        H, _from_config(decoders.BitFlipConfig, cfg), w_max=cfg.get("w_max", 2),
+        workers=cfg.get("workers", 1), checkpoint=args.checkpoint,
     )
     print("failures:", enum.failures.polynomial_str())
     print("miscorrections:", enum.miscorrections.polynomial_str())

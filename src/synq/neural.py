@@ -252,9 +252,6 @@ class DqnConfig:
     buffer_capacity: int = 100_000
     sync_every: int = 1000
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     check_every: int = 0
 
@@ -301,8 +298,7 @@ def train_dqn(
     primary = MlpNetwork.init(m, cfg.hidden, n, seed=cfg.seed, meta=meta)
     target = primary.copy()
     params = primary.params()
-    opt = (Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-           if cfg.optimizer == "adam" else Sgd(params, cfg.lr))
+    opt = (Adam if cfg.optimizer == "adam" else Sgd)(params, cfg.lr)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     gamma = env.cfg.gamma
     grad_steps = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import decoders as dec
 from .channel import BscConfig, sample_error
@@ -106,12 +106,11 @@ class FeedbackDecoder:
 class AutomorphismDecoder:
 
     def __init__(self, qsrc, H: ParityCheckMatrix,
-                 cfg: dec.BeamConfig = dec.BeamConfig(), shifts=None):
-        self.qsrc, self.H, self.cfg, self.shifts = qsrc, H, cfg, shifts
+                 cfg: dec.BeamConfig = dec.BeamConfig()):
+        self.qsrc, self.H, self.cfg = qsrc, H, cfg
 
     def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.automorphism_list_decode(self.qsrc, e, self.H, self.cfg,
-                                            self.shifts)
+        return dec.automorphism_list_decode(self.qsrc, e, self.H, self.cfg)
 
 
 class OracleDecoder:
@@ -195,12 +194,7 @@ def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
 
     if cfg.workers == 1:
         _point_init(decoder, n, bsc)
-
-        def serial():
-            for span in spans:
-                yield _run_range(span)
-
-        consume(serial())
+        consume(map(_run_range, spans))
     else:
         with ProcessPoolExecutor(
             cfg.workers, initializer=_point_init, initargs=(decoder, n, bsc)
@@ -221,16 +215,10 @@ def run_curve(decoder, n: int, cfg: SimConfig,
     return points
 
 
-_COLUMNS = ("rho", "frames", "frame_errors", "bit_errors", "fer", "ber",
-            "ci_low", "ci_high")
-
-
 def write_curve(points: list[SimPoint], path, gnuplot: bool = False) -> None:
     """CSV (or with gnuplot=True, '#'-commented whitespace-separated) table."""
     sep = " " if gnuplot else ","
-    lines = [("# " if gnuplot else "") + sep.join(_COLUMNS)]
-    for pt in points:
-        lines.append(sep.join(repr(getattr(pt, c)) if isinstance(getattr(pt, c), float)
-                              else str(getattr(pt, c)) for c in _COLUMNS))
+    lines = [("# " if gnuplot else "") + sep.join(f.name for f in fields(SimPoint))]
+    lines += [sep.join(map(repr, astuple(pt))) for pt in points]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

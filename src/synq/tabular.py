@@ -203,6 +203,8 @@ def _add_record(Q: QTable, s: int, row: np.ndarray) -> None:
         raise ValueError(f"record syndrome {s:x} has more than m = {Q.m} bits")
     if Q._rows and s <= next(reversed(Q._rows)):
         raise ValueError(f"record syndrome {s:x} is not above the one before")
+    if not np.isfinite(row).all():
+        raise ValueError(f"record syndrome {s:x} has a non-finite action value")
     Q._rows[s] = row
 
 

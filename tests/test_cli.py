@@ -111,6 +111,18 @@ def test_train_q_flags_override_config_file(tmp_path):
     assert load_qtable(str(out)).meta["config"]["episodes"] == 250
 
 
+def test_config_integers_for_float_fields_train_like_float_flags(tmp_path):
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps({"gamma": 1, "eps_min": 0, "eps_max": 1, "alpha": 1,
+                               "variant": "truncated", "w": 1, "episodes": 500}))
+    from_file, from_flags = tmp_path / "file.qtab", tmp_path / "flags.qtab"
+    assert main(["train-q", *SMALL, "--config", str(cfg), "--out", str(from_file)]) == 0
+    assert main(["train-q", *SMALL, "--variant", "truncated", "--w", "1",
+                 "--episodes", "500", "--gamma", "1.0", "--eps-min", "0.0",
+                 "--eps-max", "1.0", "--alpha", "1.0", "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
 def test_train_dqn_writes_network(tmp_path, capsys):
     out = tmp_path / "tiny.qnet"
     rc = main(["train-dqn", *SMALL, "--variant", "truncated", "--w", "1",
@@ -229,6 +241,18 @@ def test_decode_malformed_qtable_is_a_usage_error(tmp_path, capsys):
         bad.write_bytes(blob)
         assert main(["decode", "--model", str(bad), "--error", "1"]) == 2
         assert "malformed" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_decode_non_finite_qtable_is_a_usage_error(tmp_path, capsys):
+    H = build_qc_ldpc(QcLdpcSpec(7, 3, 3, 2, 4))
+    Q = QTable(H.n, H.m, meta={"code_hash": H.code_hash})
+    Q.row(H.cols_int[2])[:] = math.nan
+    path = tmp_path / "nan.qtab"
+    save_qtable(Q, path)
+    assert main(["decode", *SMALL, "--model", str(path), "--error", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "non-finite" in json.loads(err)["error"]
 
 
 def test_decode_qnet_without_sizes_is_a_usage_error(tmp_path, capsys):

@@ -299,3 +299,15 @@ def test_load_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(ValueError):
         load_qtable(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_action_values(tmp_path, bad):
+    Q = _toy_table()
+    Q.row(1 << 10)[1] = bad
+    binary, text = tmp_path / "t.qtab", tmp_path / "t.qtable"
+    save_qtable(Q, binary)
+    save_qtable_text(Q, text)
+    for path, load in [(binary, load_qtable), (text, load_qtable_text)]:
+        with pytest.raises(ValueError, match="record syndrome 400 .*non-finite"):
+            load(path)
