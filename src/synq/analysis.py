@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from . import decoders as dec
 from .automorphism import burnside_count
 from .codes import (ParityCheckMatrix, QcLdpcSpec, ball_levels, ball_size,
                     int_to_bits)
+from .sim import ordered_map
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -208,17 +208,9 @@ class FailureEnumeration:
     params: dict
 
 
-_WORKER_ENV: dict = {}
-
-
-def _enum_init(bits, tau, max_iter):
-    _WORKER_ENV["H"] = ParityCheckMatrix(bits)
-    _WORKER_ENV["cfg"] = dec.BitFlipConfig(tau=tau, max_iter=max_iter)
-
-
-def _enum_chunk(args) -> tuple[int, int]:
-    w, start, stop = args
-    H, cfg = _WORKER_ENV["H"], _WORKER_ENV["cfg"]
+def _enum_chunk(H: ParityCheckMatrix, cfg: dec.BitFlipConfig,
+                task: tuple[int, int, int]) -> tuple[int, int]:
+    w, start, stop = task
     X = patterns_colex(H.n, w, start, stop)
     flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
     fail = int((~conv).sum())
@@ -278,31 +270,19 @@ def enumerate_failures(
             with open(checkpoint, "w") as fh:
                 json.dump(state, fh)
 
-    pool = ProcessPoolExecutor(
-        workers, initializer=_enum_init, initargs=(H.bits, cfg.tau, cfg.max_iter)
-    ) if workers > 1 else None
-    _enum_init(H.bits, cfg.tau, cfg.max_iter)
-    try:
+    with ordered_map(_enum_chunk, (H, cfg), workers, chunksize=4) as run:
         for w in range(1, w_max + 1):
             rec = state["weights"].setdefault(str(w), {"done": 0, "fail": 0, "misc": 0})
             total = math.comb(H.n, w)
-            if rec["done"] >= total:
-                continue
             tasks = [
                 (w, start, min(start + chunk, total))
                 for start in range(rec["done"], total, chunk)
             ]
-            runner = pool.map(_enum_chunk, tasks, chunksize=4) if pool else map(
-                _enum_chunk, tasks
-            )
-            for (fail, misc), task in zip(runner, tasks):
+            for (fail, misc), task in zip(run(tasks), tasks):
                 rec["fail"] += fail
                 rec["misc"] += misc
                 rec["done"] = task[2]
                 dump()
-    finally:
-        if pool:
-            pool.shutdown()
     fails = {w: state["weights"][str(w)]["fail"] for w in range(1, w_max + 1)}
     miscs = {w: state["weights"][str(w)]["misc"] for w in range(1, w_max + 1)}
     totals = {w: math.comb(H.n, w) for w in range(1, w_max + 1)}

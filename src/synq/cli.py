@@ -104,7 +104,7 @@ def _resolve_code(cfg) -> ParityCheckMatrix:
 _BF_FIELDS = (("--tau", int), ("--bf-max-iter", int))
 _TRAIN_FIELDS = (("--variant", str), ("--w", int), ("--gamma", float), ("--L", int),
                  ("--episodes", int), ("--eps-max", float), ("--eps-min", float),
-                 ("--seed", int), ("--sample-w", int), *_BF_FIELDS)
+                 ("--seed", int), *_BF_FIELDS)
 _DECODER_FIELDS = (("--k", int), ("--d-max", int), *_BF_FIELDS)
 
 
@@ -179,7 +179,7 @@ def _train_env(args):
     env = SyndromeMdp(H, mdp_cfg, SyndromeSets(**sets))
     if env.start_states is not None:
         return cfg, env, tabular.SetSampler(env.start_states)
-    return cfg, env, tabular.BallSampler(H, cfg.get("sample_w") or mdp_cfg.w or 1)
+    return cfg, env, tabular.BallSampler(H, mdp_cfg.w or 1)
 
 
 # ---------------------------------------------------------------------------

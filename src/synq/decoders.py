@@ -300,8 +300,8 @@ def automorphism_list_decode(
     spec = H.qc
     shifts = range(spec.p) if shifts is None else tuple(shifts)
     s = H.syndrome(y)
-    if s == 0 and shifts:
-        # every shifted copy is a codeword too and decodes to no flips
+    if s == 0:
+        # a codeword decodes to no flips whatever the shift set
         return action_list_decode(qsrc, 0, H, cfg)
     best: tuple[int, int, DecodeResult] | None = None
     for delta in shifts:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 from . import decoders as dec
 from .channel import BscConfig, sample_error
@@ -145,15 +147,37 @@ DECODERS = {
 # the measurement loop
 # ---------------------------------------------------------------------------
 
-_POINT_ENV: dict = {}
+_TASK_FN = None  # fn(*shared, .) of the pool process, bound once by _bind
 
 
-def _point_init(decoder, n, bsc):
-    _POINT_ENV.update(decoder=decoder, n=n, bsc=bsc)
+def _bind(fn, shared) -> None:
+    global _TASK_FN
+    _TASK_FN = partial(fn, *shared)
 
 
-def _run_range(span: tuple[int, int]) -> tuple[int, int]:
-    decoder, n, bsc = _POINT_ENV["decoder"], _POINT_ENV["n"], _POINT_ENV["bsc"]
+def _call(task):
+    return _TASK_FN(task)
+
+
+@contextmanager
+def ordered_map(fn, shared: tuple, workers: int, chunksize: int = 1):
+    """Yield a map of `fn(*shared, task)` over tasks, in task order.
+
+    With one worker it runs in this process; otherwise on one process pool
+    that receives `shared` once per worker.  Abandoning a map early cancels
+    its queued tasks.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1:
+        yield partial(map, partial(fn, *shared))
+        return
+    with ProcessPoolExecutor(workers, initializer=_bind, initargs=(fn, shared)) as pool:
+        yield partial(pool.map, _call, chunksize=chunksize)
+
+
+def _run_range(decoder, n: int, bsc: BscConfig,
+               span: tuple[int, int]) -> tuple[int, int]:
     fe = be = 0
     for idx in range(*span):
         e = sample_error(bsc, n, idx)
@@ -192,14 +216,8 @@ def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
             if fe >= cfg.target_errors:
                 break
 
-    if cfg.workers == 1:
-        _point_init(decoder, n, bsc)
-        consume(map(_run_range, spans))
-    else:
-        with ProcessPoolExecutor(
-            cfg.workers, initializer=_point_init, initargs=(decoder, n, bsc)
-        ) as pool:
-            consume(pool.map(_run_range, spans))
+    with ordered_map(_run_range, (decoder, n, bsc), cfg.workers) as run:
+        consume(run(spans))
     fer = fe / frames
     ber = be / (frames * n)
     lo, hi = _normal_ci(fe, frames)

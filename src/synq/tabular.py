@@ -77,9 +77,6 @@ class QTable:
         """Value row for s; unseen states read as zeros (no row is created)."""
         return self._rows.get(s, self._zero)
 
-    def q_values_batch(self, states: list[int]) -> np.ndarray:
-        return np.stack([self.q_values(s) for s in states])
-
     def row(self, s: int) -> np.ndarray:
         r = self._rows.get(s)
         if r is None:

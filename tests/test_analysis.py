@@ -221,12 +221,14 @@ def test_enumeration_checkpoint_resume(hamming, tmp_path):
                           "misc": int((conv & (flips != X).any(axis=1)).sum())}},
     }
     ck = tmp_path / "enum.json"
-    ck.write_text(json.dumps(partial))
-    resumed = enumerate_failures(hamming, cfg, w_max=2, chunk=4, checkpoint=str(ck))
-    assert resumed.failures.counts == fresh.failures.counts
-    assert resumed.miscorrections.counts == fresh.miscorrections.counts
-    done = json.loads(ck.read_text())
-    assert done["weights"]["2"]["done"] == 21
+    for workers in (1, 2):
+        ck.write_text(json.dumps(partial))
+        resumed = enumerate_failures(hamming, cfg, w_max=2, chunk=4,
+                                     workers=workers, checkpoint=str(ck))
+        assert resumed.failures.counts == fresh.failures.counts
+        assert resumed.miscorrections.counts == fresh.miscorrections.counts
+        done = json.loads(ck.read_text())
+        assert done["weights"]["2"]["done"] == 21
 
 
 def test_enumeration_checkpoint_param_mismatch(hamming, tmp_path):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -65,7 +67,8 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     (["train-q", "--out", "x.qtab"], {"w": "x", "variant": "truncated"}),
     (["build-code"], {"code": [7, 3, 3, 2, None]}),
     (["enum-failures", *SMALL, "--tau", "1", "--out", "u.csv"], {"w_maxx": 1}),
-], ids=["rhos", "w", "code", "unknown key"])
+    (["train-q", "--out", "x.qtab"], {"sample_w": 1}),
+], ids=["rhos", "w", "code", "unknown key", "sample_w"])
 def test_config_field_of_the_wrong_type_is_a_usage_error(tmp_path, monkeypatch,
                                                         capsys, argv, fields):
     monkeypatch.chdir(tmp_path)
@@ -397,6 +400,17 @@ def test_enum_failures_small_code(tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "weight,patterns,failures,miscorrections"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enum-failures", *SMALL, "--tau", "1", "--w-max", "1", "--workers", "0"],
+    ["enum-failures", *SMALL, "--tau", "1", "--w-max", "1", "--workers", "-3"],
+    ["simulate", *SMALL, "--decoder", "bf", "--rhos", "0.02", "--workers", "0"],
+], ids=["enum 0", "enum -3", "simulate 0"])
+def test_worker_count_below_one_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "workers" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("damage", ["not an object", "no weights", "not JSON"])
 def test_enum_failures_malformed_checkpoint_is_a_usage_error(tmp_path, capsys,
                                                             damage):
@@ -478,8 +492,9 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "synq.cli", "policies", "--n", "3", "--t", "1"],
-        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"

@@ -319,6 +319,9 @@ def test_automorphism_shift_subset(small_qc):
     # a single shift still pulls the correction back to the original bit
     res = automorphism_list_decode(OneHotQ(small_qc), 1 << 9, small_qc, shifts=[2])
     assert res.converged and res.flips == 1 << 9
+    # a codeword decodes to no flips whatever the shift set, even none
+    res = automorphism_list_decode(ZeroQ(small_qc.n), 0, small_qc, shifts=())
+    assert res.converged and res.flips == 0
 
 
 def test_automorphism_reports_failure(small_qc):

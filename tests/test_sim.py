@@ -1,12 +1,15 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.channel import BscConfig, sample_error
-from synq.decoders import BitFlipConfig
+from synq.decoders import BitFlipConfig, DecodeResult
 from synq.sim import (BeamDecoder, BfDecoder, FeedbackDecoder, GreedyDecoder,
-                      NullDecoder, OracleDecoder, SimConfig, run_curve,
-                      run_point, write_curve)
+                      NullDecoder, OracleDecoder, SimConfig, ordered_map,
+                      run_curve, run_point, write_curve)
 from test_decoders import OneHotQ
 
 
@@ -33,6 +36,49 @@ def test_adapters_wrap_their_decoders(hamming, tanner):
     assert OracleDecoder()(0b1011).flips == 0b1011
     null = NullDecoder(hamming)
     assert null(0).converged and not null(1).converged
+
+
+# ---------------------------------------------------------------------------
+# the worker map
+# ---------------------------------------------------------------------------
+
+
+def _affine(a, b, t):
+    return a * t + b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(shared=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       tasks=st.lists(st.integers(-1000, 1000), max_size=30),
+       chunksize=st.integers(1, 4))
+def test_ordered_map_keeps_task_order(workers, shared, tasks, chunksize):
+    with ordered_map(_affine, shared, workers, chunksize) as run:
+        assert list(run(tasks)) == [_affine(*shared, t) for t in tasks]
+        assert list(run([])) == []
+
+
+class CountingFailDecoder:
+    """Fails every frame and appends one line per call to a log file."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, e: int) -> DecodeResult:
+        # a batch outlasts the parent's wake-up, so the count reflects the
+        # cancellation rather than how fast the workers race ahead
+        time.sleep(0.002)
+        with open(self.log, "a") as fh:
+            fh.write("x\n")
+        return DecodeResult(False, 0, 1, 0)
+
+
+def test_parallel_early_stop_abandons_queued_batches(tmp_path):
+    log = tmp_path / "calls.log"
+    cfg = SimConfig(max_frames=1000, target_errors=1, batch=10, workers=2)
+    pt = run_point(CountingFailDecoder(log), 7, 0.1, cfg)
+    assert pt.frames == 10 and pt.frame_errors == 10
+    assert len(log.read_text().splitlines()) < cfg.max_frames // 2
 
 
 # ---------------------------------------------------------------------------
