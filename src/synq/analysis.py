@@ -64,6 +64,12 @@ class WeightEnumerator:
     n: int
     counts: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for w, c in self.counts.items():
+            if not (1 <= w <= self.n and 0 <= c <= math.comb(self.n, w)):
+                raise ValueError(f"{c} patterns of weight {w}: need weight in "
+                                 f"1..{self.n} and count in 0..C({self.n}, {w})")
+
     @property
     def min_weight(self) -> int | float:
         present = [w for w, c in self.counts.items() if c]
@@ -124,10 +130,13 @@ def feedback_guarantee(
     theorem2: floor((min_fail + min_misc - 1) / 2); remark1 (miscorrection-
     aware reward): min(t, min_misc - 1).  None or inf minima mean the region
     is empty; with a bounded enumeration radius w_ball the result is clipped
-    to it.  Returns an int or math.inf.
+    to it.  Returns an int or math.inf.  A minimum below 1 or a negative
+    w_ball or t raises ValueError.
     """
     f = math.inf if min_fail_w is None else min_fail_w
     m = math.inf if min_misc_w is None else min_misc_w
+    if f < 1 or m < 1 or any(v is not None and v < 0 for v in (w_ball, t)):
+        raise ValueError("minimum weights must be >= 1, w_ball and t >= 0")
     if variant == "theorem2":
         g = math.inf if math.isinf(f) or math.isinf(m) else (f + m - 1) // 2
     elif variant == "remark1":
@@ -245,6 +254,8 @@ def enumerate_failures(
     work splits over processes deterministically and a checkpoint file (JSON
     with per-weight progress) lets an interrupted run resume.
     """
+    if not 0 <= w_max <= H.n:
+        raise ValueError(f"w_max {w_max} outside 0..{H.n}")
     if ball_size(H.n, w_max) > budget:
         raise ValueError("enumeration exceeds the pattern budget")
     params = {

@@ -229,32 +229,6 @@ def _totient(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def booth_least_rotation(seq) -> int:
-    """Index k such that seq[k:] + seq[:k] is the lexicographic least rotation.
-
-    Booth's failure-function scan, O(len(seq)).
-    """
-    s = list(seq)
-    s += s
-    n2 = len(s)
-    f = [-1] * n2
-    k = 0
-    for jj in range(1, n2):
-        sj = s[jj]
-        i = f[jj - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = jj - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = jj
-            f[jj - k] = -1
-        else:
-            f[jj - k] = i + 1
-    return k % (n2 // 2)
-
-
 @functools.lru_cache(maxsize=16)
 def _orbit_index(p: int, blocks: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices for the whole orbit of a block-major coloring v.

@@ -222,24 +222,26 @@ def cmd_train_dqn(args) -> int:
     return 0
 
 
-def _make_decoder(kind, model, H, cfg):
-    return sim.DECODERS[kind](model, H, _from_config(decoders.BeamConfig, cfg),
-                              _from_config(decoders.BitFlipConfig, cfg))
-
-
-def cmd_decode(args) -> int:
+def _decode_env(args):
+    """The config, its code, and the --decoder over --model (or `ZeroQ`)."""
     cfg = _config(args)
     H = _resolve_code(cfg)
     model = _load_model(args.model, H) if args.model else decoders.ZeroQ(H.n)
+    return cfg, H, decoders.Decoder(args.decoder, model, H,
+                                    _from_config(decoders.BeamConfig, cfg),
+                                    _from_config(decoders.BitFlipConfig, cfg))
+
+
+def cmd_decode(args) -> int:
+    _, H, decoder = _decode_env(args)
     e = _parse_error_pattern(args.error, H.n)
-    if args.decoder == "greedy":
+    if decoder.kind == "greedy":
         trace: list = []
-        d_max = _from_config(decoders.BeamConfig, cfg).d_max
-        res = decoders.greedy_decode(model, e, H, d_max, trace)
+        res = decoders.greedy_decode(decoder.qsrc, e, H, decoder.beam.d_max, trace)
         for step, (s, a, q) in enumerate(trace, 1):
             print(f"step={step} syndrome={s:x} action={a + 1} q={q!r}")
     else:
-        res = _make_decoder(args.decoder, model, H, cfg)(e)
+        res = decoder(e)
         if res.path is not None:
             for step, a in enumerate(res.path.actions, 1):
                 print(f"step={step} syndrome={res.path.states[step - 1]:x} "
@@ -253,10 +255,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args)
-    H = _resolve_code(cfg)
-    model = _load_model(args.model, H) if args.model else decoders.ZeroQ(H.n)
-    decoder = _make_decoder(args.decoder, model, H, cfg)
+    cfg, H, decoder = _decode_env(args)
     scfg = _from_config(sim.SimConfig, cfg)
     if not scfg.rhos:
         raise ValueError("no crossover probabilities given (--rhos)")
@@ -312,8 +311,10 @@ def cmd_bdd(args) -> int:
 def cmd_floor(args) -> int:
     counts = {}
     for part in args.counts.split(","):
-        w, c = part.split(":")
-        counts[int(w)] = int(c)
+        w, c = map(int, part.split(":"))
+        if w in counts:
+            raise ValueError(f"weight {w} given twice in --counts")
+        counts[w] = c
     est = analysis.error_floor_estimate(
         analysis.WeightEnumerator(args.n, counts), args.rho
     )
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _code_args(p, *_DECODER_FIELDS)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
-                   choices=list(sim.DECODERS))
+                   choices=decoders.KINDS)
     p.add_argument("--error", default="",
                    help="1-based positions '3,17', hex '0x11', or '' for none")
     p.set_defaults(func=cmd_decode)
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
               *_DECODER_FIELDS)
     p.add_argument("--model")
     p.add_argument("--decoder", default="greedy",
-                   choices=list(sim.DECODERS))
+                   choices=decoders.KINDS)
     p.add_argument("--out")
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -3,6 +3,7 @@
 A Q-source is any object with ``q_values(s) -> np.ndarray`` of per-bit
 action values for a packed syndrome s (and optionally ``q_values_batch``).
 Decoders flip one code bit per action; the flip set is returned packed.
+`Decoder` runs any of the `KINDS` as one picklable callable.
 
 All tie-breaks resolve toward the lower action index; beams break residual
 score ties toward shorter paths.
@@ -11,7 +12,7 @@ score ties toward shorter paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -327,3 +328,42 @@ def _shift_perms(spec, delta: int):
     """The variable-side permutation of the cyclic shift by delta, and its inverse."""
     perm = am.shift_pair(spec, delta).var
     return perm, perm.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the decode protocol
+# ---------------------------------------------------------------------------
+
+
+KINDS = ("greedy", "list", "bf", "feedback", "auto-list")
+
+
+@dataclass(frozen=True)
+class Decoder:
+    """A picklable callable y -> DecodeResult for one of the `KINDS`.
+
+    greedy and feedback take at most beam.d_max policy steps; list and
+    auto-list search with beam; bf and feedback's inner decoder use bf.
+    """
+
+    kind: str
+    qsrc: object
+    H: ParityCheckMatrix
+    beam: BeamConfig = BeamConfig()
+    bf: BitFlipConfig = BitFlipConfig()
+
+    def __call__(self, y: int) -> DecodeResult:
+        # the decoders are looked up as module globals at call time, so
+        # wrapping them on the module (as a tracer does) sees every call
+        if self.kind == "greedy":
+            return greedy_decode(self.qsrc, y, self.H, self.beam.d_max)
+        if self.kind == "list":
+            return action_list_decode(self.qsrc, self.H.syndrome(y), self.H, self.beam)
+        if self.kind == "bf":
+            return bit_flipping_decode(y, self.H, self.bf)
+        if self.kind == "feedback":
+            phi = partial(bit_flipping_decode, H=self.H, cfg=self.bf)
+            return feedback_decode(phi, self.qsrc, y, self.H, self.beam.d_max)
+        if self.kind == "auto-list":
+            return automorphism_list_decode(self.qsrc, y, self.H, self.beam)
+        raise ValueError(f"unknown decoder kind {self.kind!r}")

@@ -1,6 +1,10 @@
 """Monte Carlo frame/bit error-rate estimation over the binary symmetric
 channel.
 
+A decoder is any picklable callable y -> `decoders.DecodeResult`, usually a
+`decoders.Decoder`.  `GreedyDecoder` ... `AutomorphismDecoder` build one per
+kind; greedy and feedback keep the default of at most 10 policy steps.
+
 Frames are processed in fixed-size batches; frame i always draws from the
 (seed, i) channel stream, and a run stops after the first whole batch at
 which the cumulative frame-error target is met (or at max_frames).  Which
@@ -58,89 +62,29 @@ class SimPoint:
 
 
 # ---------------------------------------------------------------------------
-# decoder adapters: picklable callables error-pattern -> DecodeResult
+# decoders by name
 # ---------------------------------------------------------------------------
 
 
-class GreedyDecoder:
-
-    def __init__(self, qsrc, H: ParityCheckMatrix, max_steps: int = 10):
-        self.qsrc, self.H, self.max_steps = qsrc, H, max_steps
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.greedy_decode(self.qsrc, e, self.H, self.max_steps)
+def GreedyDecoder(qsrc, H: ParityCheckMatrix) -> dec.Decoder:
+    return dec.Decoder("greedy", qsrc, H)
 
 
-class BeamDecoder:
-
-    def __init__(self, qsrc, H: ParityCheckMatrix,
-                 cfg: dec.BeamConfig = dec.BeamConfig()):
-        self.qsrc, self.H, self.cfg = qsrc, H, cfg
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.action_list_decode(self.qsrc, self.H.syndrome(e), self.H, self.cfg)
+def BeamDecoder(qsrc, H: ParityCheckMatrix, beam=dec.BeamConfig()) -> dec.Decoder:
+    return dec.Decoder("list", qsrc, H, beam)
 
 
-class BfDecoder:
-
-    def __init__(self, H: ParityCheckMatrix,
-                 cfg: dec.BitFlipConfig = dec.BitFlipConfig()):
-        self.H, self.cfg = H, cfg
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.bit_flipping_decode(e, self.H, self.cfg)
+def BfDecoder(H: ParityCheckMatrix, bf=dec.BitFlipConfig()) -> dec.Decoder:
+    return dec.Decoder("bf", None, H, bf=bf)
 
 
-class FeedbackDecoder:
-
-    def __init__(self, qsrc, H: ParityCheckMatrix,
-                 bf_cfg: dec.BitFlipConfig = dec.BitFlipConfig(),
-                 max_outer: int = 10):
-        self.qsrc, self.H, self.bf_cfg, self.max_outer = qsrc, H, bf_cfg, max_outer
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        def phi(x: int) -> dec.DecodeResult:
-            return dec.bit_flipping_decode(x, self.H, self.bf_cfg)
-
-        return dec.feedback_decode(phi, self.qsrc, e, self.H, self.max_outer)
+def FeedbackDecoder(qsrc, H: ParityCheckMatrix, bf=dec.BitFlipConfig()) -> dec.Decoder:
+    return dec.Decoder("feedback", qsrc, H, bf=bf)
 
 
-class AutomorphismDecoder:
-
-    def __init__(self, qsrc, H: ParityCheckMatrix,
-                 cfg: dec.BeamConfig = dec.BeamConfig()):
-        self.qsrc, self.H, self.cfg = qsrc, H, cfg
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.automorphism_list_decode(self.qsrc, e, self.H, self.cfg)
-
-
-class OracleDecoder:
-    """Returns the injected error itself; zero error rate by construction."""
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        return dec.DecodeResult(True, e, 0, 0)
-
-
-class NullDecoder:
-    """Never flips anything; frame errors exactly when the frame is noisy."""
-
-    def __init__(self, H: ParityCheckMatrix):
-        self.H = H
-
-    def __call__(self, e: int) -> dec.DecodeResult:
-        s = self.H.syndrome(e)
-        return dec.DecodeResult(s == 0, 0, s, 0)
-
-
-# `synq decode/simulate --decoder` kind -> adapter from (Q source, H, beam, bf)
-DECODERS = {
-    "greedy": lambda q, H, beam, bf: GreedyDecoder(q, H, beam.d_max),
-    "list": lambda q, H, beam, bf: BeamDecoder(q, H, beam),
-    "bf": lambda q, H, beam, bf: BfDecoder(H, bf),
-    "feedback": lambda q, H, beam, bf: FeedbackDecoder(q, H, bf, beam.d_max),
-    "auto-list": lambda q, H, beam, bf: AutomorphismDecoder(q, H, beam),
-}
+def AutomorphismDecoder(qsrc, H: ParityCheckMatrix,
+                        beam=dec.BeamConfig()) -> dec.Decoder:
+    return dec.Decoder("auto-list", qsrc, H, beam)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +150,13 @@ def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
         for lo in range(0, cfg.max_frames, cfg.batch)
     ]
     frames = fe = be = 0
-
-    def consume(results) -> None:
-        nonlocal frames, fe, be
-        for (dfe, dbe), span in zip(results, spans):
+    with ordered_map(_run_range, (decoder, n, bsc), cfg.workers) as run:
+        for (dfe, dbe), span in zip(run(spans), spans):
             frames += span[1] - span[0]
             fe += dfe
             be += dbe
             if fe >= cfg.target_errors:
-                break
-
-    with ordered_map(_run_range, (decoder, n, bsc), cfg.workers) as run:
-        consume(run(spans))
+                break  # dropping the map cancels the batches still queued
     fer = fe / frames
     ber = be / (frames * n)
     lo, hi = _normal_ci(fe, frames)

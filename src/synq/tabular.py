@@ -96,11 +96,6 @@ class QTable:
         return s in self._rows
 
 
-def greedy_policy(Q: QTable, s: int) -> int:
-    """Argmax action with lowest-index tie-break."""
-    return Q.greedy(s)
-
-
 def q_update(Q: QTable, s: int, a: int, r: float, s_next: int,
              alpha: float, gamma: float) -> float:
     """One-step update toward r + gamma * max_a' Q(s', a'); returns new Q(s,a)."""

@@ -74,6 +74,13 @@ def test_weight_enumerator_basics():
     assert empty.polynomial_str() == "0"
 
 
+@pytest.mark.parametrize("counts", [{0: 1}, {11: 1}, {3: -1}, {3: 121}])
+def test_weight_enumerator_rejects_impossible_counts(counts):
+    with pytest.raises(ValueError):
+        WeightEnumerator(10, counts)
+    WeightEnumerator(10, {1: 10, 3: 120, 10: 1})  # every bound itself is fine
+
+
 def test_error_floor_estimate_by_hand():
     E = WeightEnumerator(10, {3: 10, 5: 2})
     rho = 0.01
@@ -121,6 +128,18 @@ def test_feedback_guarantee_reward_aware_form():
         feedback_guarantee(1, 4, variant="remark1")
     with pytest.raises(ValueError):
         feedback_guarantee(1, 4, variant="theorem3")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((0, 0), {}), ((0, 4), {}), ((3, 0), {}),
+    ((3, 5), {"w_ball": -2}),
+    ((None, 4), {"variant": "remark1", "t": -2}),
+])
+def test_feedback_guarantee_rejects_meaningless_inputs(args, kwargs):
+    with pytest.raises(ValueError):
+        feedback_guarantee(*args, **kwargs)
+    assert feedback_guarantee(1, 1, w_ball=0) == 0
+    assert feedback_guarantee(None, 1, variant="remark1", t=0) == 0
 
 
 def test_syndrome_bounds(tanner):
@@ -204,6 +223,14 @@ def test_enumerate_failures_budget():
     H = random_parity_check(40, 10, seed=1)
     with pytest.raises(ValueError):
         enumerate_failures(H, w_max=5, budget=1000)
+
+
+@pytest.mark.parametrize("w_max", [-1, 8])
+def test_enumerate_failures_radius_outside_the_code(hamming, tmp_path, w_max):
+    ck = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match=f"w_max {w_max} outside 0..7"):
+        enumerate_failures(hamming, w_max=w_max, checkpoint=str(ck))
+    assert not ck.exists()  # rejected before any work
 
 
 def test_enumeration_checkpoint_resume(hamming, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.automorphism import (GroupElement, IndexPermutation,
-                               booth_least_rotation, burnside_count,
+from synq.automorphism import (GroupElement, IndexPermutation, burnside_count,
                                canonical_representative, element_pair,
                                mult_a_pair, mult_b_pair, shift_pair,
                                variable_mult, variable_shift,
@@ -228,22 +227,6 @@ def test_burnside_validation():
 # ---------------------------------------------------------------------------
 # canonical representatives
 # ---------------------------------------------------------------------------
-
-
-def test_booth_on_hand_cases():
-    assert booth_least_rotation([1, 0, 1, 1]) == 1
-    assert booth_least_rotation([0, 0, 0]) == 0
-    assert booth_least_rotation("cba") == 2
-
-
-def test_booth_matches_brute_force():
-    rng = rng_for_tests(38)
-    for _ in range(60):
-        n = int(rng.integers(1, 12))
-        seq = [int(x) for x in rng.integers(0, 3, size=n)]
-        k = booth_least_rotation(seq)
-        rots = [tuple(seq[i:] + seq[:i]) for i in range(n)]
-        assert tuple(seq[k:] + seq[:k]) == min(rots)
 
 
 def _orbit_min(bits, p, blocks, mult):

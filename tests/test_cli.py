@@ -466,6 +466,18 @@ def test_floor_command(capsys):
     assert "slope=2" in out and "full=" in out
 
 
+@pytest.mark.parametrize("n, counts, needle", [
+    ("155", "2:620,2:5", "weight 2 given twice"),
+    ("10", "3:500", "500 patterns of weight 3"),
+    ("155", "200:5", "5 patterns of weight 200"),
+    ("155", "2:-5", "-5 patterns of weight 2"),
+])
+def test_floor_rejects_impossible_counts(capsys, n, counts, needle):
+    assert main(["floor", "--n", n, "--counts", counts, "--rho", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in json.loads(captured.err)["error"]
+
+
 def test_policies_command(capsys):
     assert main(["policies", "--n", "3", "--t", "2"]) == 0
     assert capsys.readouterr().out.strip() == "8"
@@ -479,6 +491,17 @@ def test_guarantee_command(capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["guarantee"]) == 0
     assert capsys.readouterr().out.strip() == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fail", "0", "--misc", "0"],
+    ["--fail", "3", "--misc", "5", "--w-ball", "-2"],
+    ["--variant", "remark1", "--misc", "4", "--t", "-2"],
+])
+def test_guarantee_rejects_meaningless_inputs(capsys, argv):
+    assert main(["guarantee", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in json.loads(captured.err)
 
 
 # ---------------------------------------------------------------------------

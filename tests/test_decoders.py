@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.codes import bits_to_int, random_parity_check
-from synq.decoders import (BeamConfig, BitFlipConfig, CandidatePath,
-                           DecodeResult, ZeroQ, action_list_decode,
+from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
+                           DecodeResult, Decoder, ZeroQ, action_list_decode,
                            automorphism_list_decode, bf_decode_batch,
                            bit_flipping_decode, feedback_decode, greedy_decode)
 from conftest import rng_for_tests
@@ -33,6 +35,16 @@ class FakeQ:
 
     def q_values(self, s):
         return self.table.get(s, np.zeros(self.n))
+
+
+class RandomQ:
+    """A random Q-table: the row of syndrome s is a fixed draw keyed (seed, s)."""
+
+    def __init__(self, n, seed):
+        self.n, self.seed = n, seed
+
+    def q_values(self, s):
+        return np.random.default_rng([self.seed, s]).standard_normal(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +354,43 @@ def test_automorphism_prefers_light_flip_sets(small_qc):
     res = automorphism_list_decode(qsrc, e, small_qc)
     assert res.converged and res.flips.bit_count() == 1
     assert small_qc.syndrome(e ^ res.flips) == 0
+
+
+# ---------------------------------------------------------------------------
+# the decode protocol
+# ---------------------------------------------------------------------------
+
+
+def _direct(kind, qsrc, y, H, beam, bf):
+    """The free-function call that a Decoder of `kind` stands for."""
+    if kind == "greedy":
+        return greedy_decode(qsrc, y, H, beam.d_max)
+    if kind == "list":
+        return action_list_decode(qsrc, H.syndrome(y), H, beam)
+    if kind == "bf":
+        return bit_flipping_decode(y, H, bf)
+    if kind == "feedback":
+        return feedback_decode(lambda x: bit_flipping_decode(x, H, bf), qsrc, y, H,
+                               beam.d_max)
+    return automorphism_list_decode(qsrc, y, H, beam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(positions=st.sets(st.integers(0, 20), max_size=5), seed=st.integers(0, 2**16),
+       k=st.integers(1, 4), d_max=st.integers(1, 8), tau=st.integers(1, 3),
+       max_iter=st.integers(1, 10))
+def test_decoder_matches_the_free_functions(small_qc, positions, seed, k, d_max,
+                                            tau, max_iter):
+    y = sum(1 << i for i in positions)  # small_qc has n = 21
+    qsrc = RandomQ(small_qc.n, seed)
+    beam, bf = BeamConfig(k, d_max), BitFlipConfig(tau, max_iter)
+    for kind in KINDS:
+        got = Decoder(kind, qsrc, small_qc, beam, bf)(y)
+        want = _direct(kind, qsrc, y, small_qc, beam, bf)
+        assert (got.converged, got.flips, got.final_syndrome, got.steps) == (
+            want.converged, want.flips, want.final_syndrome, want.steps), kind
+
+
+def test_decoder_rejects_an_unknown_kind(hamming):
+    with pytest.raises(ValueError, match="beam"):
+        Decoder("beam", ZeroQ(hamming.n), hamming)(0)

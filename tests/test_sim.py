@@ -6,15 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.channel import BscConfig, sample_error
-from synq.decoders import BitFlipConfig, DecodeResult
-from synq.sim import (BeamDecoder, BfDecoder, FeedbackDecoder, GreedyDecoder,
-                      NullDecoder, OracleDecoder, SimConfig, ordered_map,
+from synq.decoders import KINDS, BitFlipConfig, DecodeResult, Decoder
+from synq.sim import (AutomorphismDecoder, BeamDecoder, BfDecoder,
+                      FeedbackDecoder, GreedyDecoder, SimConfig, ordered_map,
                       run_curve, run_point, write_curve)
-from test_decoders import OneHotQ
+from test_decoders import OneHotQ, RandomQ
+
+
+class OracleDecoder:
+    """Returns the injected error itself; zero error rate by construction."""
+
+    def __call__(self, e: int) -> DecodeResult:
+        return DecodeResult(True, e, 0, 0)
+
+
+class NullDecoder:
+    """Never flips anything; frame errors exactly when the frame is noisy."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def __call__(self, e: int) -> DecodeResult:
+        s = self.H.syndrome(e)
+        return DecodeResult(s == 0, 0, s, 0)
 
 
 # ---------------------------------------------------------------------------
-# configuration and adapters
+# configuration and decoders by name
 # ---------------------------------------------------------------------------
 
 
@@ -27,12 +45,16 @@ def test_sim_config_validation():
         SimConfig(rhos=(0.5, 1.2))
 
 
-def test_adapters_wrap_their_decoders(hamming, tanner):
+def test_adapters_wrap_their_decoders(hamming, tanner, small_qc):
     q = OneHotQ(hamming)
     assert GreedyDecoder(q, hamming)(1 << 3).flips == 1 << 3
     assert BeamDecoder(q, hamming)(1 << 3).flips == 1 << 3
     assert BfDecoder(tanner)(1 << 9).flips == 1 << 9
     assert FeedbackDecoder(q, hamming, BitFlipConfig(tau=3))(1 << 6).converged
+    assert AutomorphismDecoder(OneHotQ(small_qc), small_qc)(1 << 9).flips == 1 << 9
+    # greedy and feedback keep the default cap of 10 policy steps
+    assert GreedyDecoder(q, hamming).beam.d_max == 10
+    assert FeedbackDecoder(q, hamming).beam.d_max == 10
     assert OracleDecoder()(0b1011).flips == 0b1011
     null = NullDecoder(hamming)
     assert null(0).converged and not null(1).converged
@@ -122,11 +144,16 @@ def test_early_stop_lands_on_batch_boundary(hamming):
     assert prev.frame_errors < 20
 
 
-def test_worker_count_does_not_change_counts(hamming):
+@pytest.mark.parametrize("kind", KINDS + ("null",))
+def test_worker_count_does_not_change_counts(small_qc, kind):
+    if kind == "null":
+        decoder = NullDecoder(small_qc)
+    else:
+        decoder = Decoder(kind, RandomQ(small_qc.n, 4), small_qc)
     base = SimConfig(max_frames=2000, target_errors=20, batch=200, seed=7)
     par = SimConfig(max_frames=2000, target_errors=20, batch=200, seed=7, workers=2)
-    a = run_point(NullDecoder(hamming), 7, 0.04, base)
-    b = run_point(NullDecoder(hamming), 7, 0.04, par)
+    a = run_point(decoder, small_qc.n, 0.04, base)
+    b = run_point(decoder, small_qc.n, 0.04, par)
     assert a == b
 
 

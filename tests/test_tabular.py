@@ -5,7 +5,7 @@ from synq.codes import hamming_ball_syndromes
 from synq.decoders import greedy_decode
 from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets
 from synq.tabular import (BallSampler, QTable, SetSampler, TrainConfig,
-                          epsilon_at, greedy_policy, load_qtable,
+                          epsilon_at, load_qtable,
                           load_qtable_text, q_update, save_qtable,
                           save_qtable_text, train_q)
 from conftest import rng_for_tests
@@ -57,7 +57,7 @@ def test_greedy_breaks_ties_toward_low_index():
     Q = QTable(n=4, m=4)
     Q.row(2)[:] = [0.0, 3.0, 3.0, 1.0]
     assert Q.greedy(2) == 1
-    assert greedy_policy(Q, 5) == 0  # unseen row: all zeros
+    assert Q.greedy(5) == 0  # unseen row: all zeros
 
 
 def test_float32_table_opt_in():
