@@ -53,6 +53,12 @@ def int_to_bits(x: int, length: int) -> np.ndarray:
     return np.unpackbits(raw, count=length, bitorder="little")
 
 
+def bits_to_ints(rows: np.ndarray) -> list[int]:
+    """Pack each row of a 2-D 0/1 matrix into an int, as bits_to_int does."""
+    packed = np.packbits(np.asarray(rows) != 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def ints_to_bits(xs, length: int) -> np.ndarray:
     """Unpack a sequence of ints into a (len(xs), length) uint8 matrix,
     row r holding int_to_bits(xs[r], length)."""

@@ -3,7 +3,8 @@
 A Q-source is any object with ``q_values(s) -> np.ndarray`` of per-bit
 action values for a packed syndrome s (and optionally ``q_values_batch``).
 Decoders flip one code bit per action; the flip set is returned packed.
-`Decoder` runs any of the `KINDS` as one picklable callable.
+`Decoder` runs any of the `KINDS` as one picklable callable, one packed word
+at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.
 
 All tie-breaks resolve toward the lower action index; beams break residual
 score ties toward shorter paths.
@@ -17,7 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import automorphism as am
-from .codes import ParityCheckMatrix
+from .codes import ParityCheckMatrix, bits_to_ints, ints_to_bits
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +341,13 @@ KINDS = ("greedy", "list", "bf", "feedback", "auto-list")
 
 @dataclass(frozen=True)
 class Decoder:
-    """A picklable callable y -> DecodeResult for one of the `KINDS`.
+    """A picklable decoder of one of the `KINDS`.
 
-    greedy and feedback take at most beam.d_max policy steps; list and
-    auto-list search with beam; bf and feedback's inner decoder use bf.
+    Calling it decodes one packed word y -> DecodeResult; `decode_batch`
+    decodes the rows of a (B, n) matrix with row-for-row the same flips,
+    convergence and steps.  greedy and feedback take at most beam.d_max
+    policy steps; list and auto-list search with beam; bf and feedback's
+    inner decoder use bf.
     """
 
     kind: str
@@ -367,3 +371,86 @@ class Decoder:
         if self.kind == "auto-list":
             return automorphism_list_decode(self.qsrc, y, self.H, self.beam)
         raise ValueError(f"unknown decoder kind {self.kind!r}")
+
+    def decode_batch(self, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode each row of a (B, n) uint8 error matrix.
+
+        Returns (flips (B, n) uint8, converged (B,) bool, steps (B,) int),
+        row b equal to what calling the decoder on row b gives.  Rows with
+        a zero syndrome are done before any decoder runs.
+        """
+        E = np.ascontiguousarray(E, dtype=np.uint8)
+        if E.ndim != 2 or E.shape[1] != self.H.n:
+            raise ValueError("error patterns must be (B, n)")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown decoder kind {self.kind!r}")
+        flips = np.zeros_like(E)
+        converged = np.ones(len(E), dtype=bool)
+        steps = np.zeros(len(E), dtype=np.int64)
+        S = self.H.syndrome_batch(E)
+        rows = np.flatnonzero(S.any(axis=1))
+        if rows.size:
+            Y = E[rows]
+            if self.kind == "bf":
+                out = bf_decode_batch(Y, self.H, self.bf)
+            elif self.kind == "greedy":
+                out = self._greedy_batch(bits_to_ints(S[rows]))
+            elif self.kind == "feedback":
+                out = self._feedback_batch(Y, bits_to_ints(S[rows]))
+            else:
+                res = [self(y) for y in bits_to_ints(Y)]
+                out = (ints_to_bits([r.flips for r in res], self.H.n),
+                       [r.converged for r in res], [r.steps for r in res])
+            flips[rows], converged[rows], steps[rows] = out
+        return flips, converged, steps
+
+    def _policy_step(self, ss: list[int], live: np.ndarray, *mats) -> np.ndarray:
+        """Flip the argmax-Q bit of each live row in mats and in its packed
+        syndrome ss[r]; returns the rows whose syndrome is still nonzero.
+
+        Q rows come from one q_values call per row, as the scalar decoders
+        get them, so near-ties break the same way.
+        """
+        cols = self.H.cols_int
+        acts = np.array([np.argmax(self.qsrc.q_values(ss[r])) for r in live],
+                        dtype=np.intp)
+        for M in mats:
+            M[live, acts] ^= 1
+        for r, a in zip(live, acts):
+            ss[r] ^= cols[a]
+        return live[[ss[r] != 0 for r in live]]
+
+    def _greedy_batch(self, ss: list[int]):
+        """greedy_decode over rows with packed syndromes ss, all in step."""
+        flips = np.zeros((len(ss), self.H.n), dtype=np.uint8)
+        converged = np.ones(len(ss), dtype=bool)
+        steps = np.zeros(len(ss), dtype=np.int64)
+        live = np.arange(len(ss))
+        for _ in range(self.beam.d_max):
+            steps[live] += 1
+            live = self._policy_step(ss, live, flips)
+            if not live.size:
+                break
+        converged[live] = False
+        return flips, converged, steps
+
+    def _feedback_batch(self, Y: np.ndarray, ss: list[int]):
+        """feedback_decode over rows Y with packed syndromes ss.
+
+        Each pass runs bf_decode_batch on the rows still live, then flips
+        one policy bit in each row whose inner decode failed.
+        """
+        X = Y.copy()  # the inner decoder's input, y plus the policy flips
+        flips = np.zeros_like(Y)  # the policy flips, then the inner ones
+        converged = np.ones(len(Y), dtype=bool)
+        steps = np.zeros(len(Y), dtype=np.int64)
+        live = np.arange(len(Y))
+        for _ in range(self.beam.d_max):
+            inner, ok, _ = bf_decode_batch(X[live], self.H, self.bf)
+            steps[live] += 1
+            flips[live[ok]] ^= inner[ok]
+            live = self._policy_step(ss, live[~ok], X, flips)
+            if not live.size:
+                break
+        converged[live] = False
+        return flips, converged, steps

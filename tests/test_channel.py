@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.channel import (BscConfig, frame_rng, sample_error,
-                          sample_error_bits)
+                          sample_error_bits, sample_errors)
 from synq.codes import bits_to_int
 
 
@@ -64,3 +66,19 @@ def test_frame_rng_handles_wide_indices():
     # indices above 2^64 wrap into the key without error
     g = frame_rng(seed=0, stream_index=(1 << 70) + 3)
     assert g.random() == frame_rng(0, 3 | (1 << 70)).random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**66)),
+       lo=st.one_of(st.integers(0, 2**20), st.integers(2**64 - 3, 2**65)),
+       count=st.integers(0, 5), n=st.sampled_from([0, 1, 3, 155]),
+       rho=st.sampled_from([0.0, 1e-300, 0.003, 0.5, 1.0]))
+def test_sample_errors_rows_are_the_reference_streams(seed, lo, count, n, rho):
+    cfg = BscConfig(rho, seed)
+    E = sample_errors(cfg, n, lo, lo + count)
+    assert E.shape == (count, n) and E.dtype == np.uint8
+    for r in range(count):
+        want = (frame_rng(seed, lo + r).random(n) < rho).astype(np.uint8)
+        assert np.array_equal(E[r], want)
+        assert np.array_equal(sample_error_bits(cfg, n, lo + r), want)
+

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_levels,
                         ball_size, ball_syndrome_weights, bits_to_int, build_qc_ldpc,
-                        gf2_rank, hamming_ball_syndromes, int_to_bits,
-                        ints_to_bits,
+                        bits_to_ints, gf2_rank, hamming_ball_syndromes,
+                        int_to_bits, ints_to_bits,
                         is_prime, load_alist, multiplicative_order,
                         random_parity_check, save_alist, support)
 from conftest import ball_reference, random_codes, rng_for_tests
@@ -86,6 +86,8 @@ def test_batch_unpacking_matches_rows(width_and_values):
     rows = ints_to_bits(xs, n)
     assert rows.dtype == np.uint8 and rows.shape == (len(xs), n)
     assert rows.tolist() == [[x >> i & 1 for i in range(n)] for x in xs]
+    packed = bits_to_ints(rows)
+    assert packed == xs and all(type(x) is int for x in packed)
 
 
 @given(WIDTHS, st.data())

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from synq.channel import BscConfig, sample_errors
 from synq.codes import bits_to_int, random_parity_check
 from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            DecodeResult, Decoder, ZeroQ, action_list_decode,
                            automorphism_list_decode, bf_decode_batch,
                            bit_flipping_decode, feedback_decode, greedy_decode)
+from synq.neural import MlpNetwork
 from conftest import rng_for_tests
 
 
@@ -394,3 +396,50 @@ def test_decoder_matches_the_free_functions(small_qc, positions, seed, k, d_max,
 def test_decoder_rejects_an_unknown_kind(hamming):
     with pytest.raises(ValueError, match="beam"):
         Decoder("beam", ZeroQ(hamming.n), hamming)(0)
+    with pytest.raises(ValueError, match="beam"):
+        Decoder("beam", ZeroQ(hamming.n), hamming).decode_batch(np.zeros((1, 7)))
+
+
+def _q_source(name, H, seed):
+    if name == "random":
+        return RandomQ(H.n, seed)
+    if name == "onehot":
+        return OneHotQ(H)
+    return MlpNetwork.init(H.m, 8, H.n, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=st.sampled_from(["small_qc", "tanner"]),
+       source=st.sampled_from(["random", "onehot", "mlp"]), seed=st.integers(0, 2**16),
+       B=st.integers(0, 16), rho=st.sampled_from([0.0, 0.05, 0.15]),
+       clean=st.sets(st.integers(0, 15)),
+       k=st.integers(1, 3), d_max=st.integers(1, 4), tau=st.integers(1, 3),
+       max_iter=st.integers(1, 10))
+@example(code="small_qc", source="random", seed=0, B=0, rho=0.15, clean=set(),
+         k=2, d_max=3, tau=2, max_iter=5)
+@example(code="tanner", source="mlp", seed=1, B=1, rho=0.05, clean=set(),
+         k=2, d_max=3, tau=2, max_iter=5)
+def test_decode_batch_matches_the_scalar_decoder(small_qc, tanner, code, source, seed,
+                                                 B, rho, clean, k, d_max, tau,
+                                                 max_iter):
+    H = small_qc if code == "small_qc" else tanner
+    E = sample_errors(BscConfig(rho, seed), H.n, 0, B)
+    E[[r for r in clean if r < B]] = 0
+    qsrc = _q_source(source, H, seed)
+    for kind in KINDS:
+        decoder = Decoder(kind, qsrc, H, BeamConfig(k, d_max), BitFlipConfig(tau, max_iter))
+        flips, converged, steps = decoder.decode_batch(E)
+        assert flips.shape == E.shape and flips.dtype == np.uint8
+        assert converged.shape == steps.shape == (B,)
+        for b, e in enumerate(E):
+            want = decoder(bits_to_int(e))
+            assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
+                want.flips, want.converged, want.steps), (kind, b)
+
+
+def test_decode_batch_shape_validation(hamming):
+    decoder = Decoder("bf", None, hamming)
+    with pytest.raises(ValueError):
+        decoder.decode_batch(np.zeros((2, 8), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        decoder.decode_batch(np.zeros(7, dtype=np.uint8))

@@ -1,6 +1,8 @@
 import math
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ class OracleDecoder:
     def __call__(self, e: int) -> DecodeResult:
         return DecodeResult(True, e, 0, 0)
 
+    def decode_batch(self, E):
+        return E.copy(), np.ones(len(E), dtype=bool), np.zeros(len(E), dtype=int)
+
 
 class NullDecoder:
     """Never flips anything; frame errors exactly when the frame is noisy."""
@@ -29,6 +34,10 @@ class NullDecoder:
     def __call__(self, e: int) -> DecodeResult:
         s = self.H.syndrome(e)
         return DecodeResult(s == 0, 0, s, 0)
+
+    def decode_batch(self, E):
+        converged = ~self.H.syndrome_batch(E).any(axis=1)
+        return np.zeros_like(E), converged, np.zeros(len(E), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +95,14 @@ class CountingFailDecoder:
     def __init__(self, log):
         self.log = log
 
-    def __call__(self, e: int) -> DecodeResult:
+    def decode_batch(self, E):
         # a batch outlasts the parent's wake-up, so the count reflects the
         # cancellation rather than how fast the workers race ahead
-        time.sleep(0.002)
-        with open(self.log, "a") as fh:
-            fh.write("x\n")
-        return DecodeResult(False, 0, 1, 0)
+        for _ in E:
+            time.sleep(0.002)
+            with open(self.log, "a") as fh:
+                fh.write("x\n")
+        return np.zeros_like(E), np.zeros(len(E), dtype=bool), np.zeros(len(E), dtype=int)
 
 
 def test_parallel_early_stop_abandons_queued_batches(tmp_path):
@@ -106,6 +116,19 @@ def test_parallel_early_stop_abandons_queued_batches(tmp_path):
 # ---------------------------------------------------------------------------
 # the measurement loop
 # ---------------------------------------------------------------------------
+
+
+def test_memory_does_not_grow_with_the_batch(tanner):
+    # one unsliced float64 block of 100k Tanner frames would take 124 MB
+    tracemalloc.start()
+    try:
+        pt = run_point(BfDecoder(tanner), 155, 0.0,
+                       SimConfig(max_frames=100_000, batch=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pt.frames == 100_000 and pt.frame_errors == 0
+    assert peak < 12 * 2**20
 
 
 def test_oracle_decoder_measures_zero(hamming):
