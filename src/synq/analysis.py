@@ -25,7 +25,7 @@ from scipy.special import gammaln, logsumexp
 from . import decoders as dec
 from .automorphism import burnside_count
 from .codes import (ParityCheckMatrix, QcLdpcSpec, ball_levels, ball_size,
-                    int_to_bits)
+                    ints_to_bits)
 from .sim import ordered_map
 
 # ---------------------------------------------------------------------------
@@ -424,8 +424,7 @@ def bounded_sets(
         for s, x in zip(syndromes, patterns):
             reps.setdefault(s, x)
     syn = sorted(reps)
-    X = np.fromiter((int_to_bits(reps[s], H.n) for s in syn),
-                    np.dtype((np.uint8, H.n)), len(syn))
+    X = ints_to_bits([reps[s] for s in syn], H.n)
     correct, fail, misc = _status_sets(np.array(syn, dtype=object),
                                        _leader_status(X, H, cfg))
     return {"ball": frozenset(syn), "bcorrect": correct, "bfail": fail, "bmisc": misc}

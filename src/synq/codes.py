@@ -67,11 +67,10 @@ def ints_to_bits(xs, length: int) -> np.ndarray:
         raw = b"".join(x.to_bytes(nbytes, "little") for x in xs)
     except OverflowError:
         raise ValueError(f"value does not fit in {length} bits") from None
-    rows = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(xs), nbytes),
-                         axis=1, bitorder="little")
-    if rows[:, length:].any():
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(xs), nbytes)
+    if length % 8 and (packed[:, -1] >> (length % 8)).any():  # bits past length
         raise ValueError(f"value does not fit in {length} bits")
-    return rows[:, :length]
+    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
 
 def support(x: int):

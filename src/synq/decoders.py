@@ -6,8 +6,8 @@ Decoders flip one code bit per action; the flip set is returned packed.
 `Decoder` runs any of the `KINDS` as one picklable callable, one packed word
 at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.
 
-All tie-breaks resolve toward the lower action index; beams break residual
-score ties toward shorter paths.
+All tie-breaks resolve toward the lower action index; beams break the
+remaining ties, equal value and action, toward the better-ranked parent.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ class BeamConfig:
             raise ValueError("beam width and depth must be >= 1")
 
 
-def _first_valid(beam: list[CandidatePath]) -> CandidatePath | None:
-    for path in beam:
-        if path.states[-1] == 0:
-            return path
-    return None
-
-
 def action_list_decode(
     qsrc, s0: int, H: ParityCheckMatrix, cfg: BeamConfig = BeamConfig()
 ) -> DecodeResult:
@@ -146,7 +139,7 @@ def action_list_decode(
     ]
     depth = 1
     while True:
-        hit = _first_valid(beam)
+        hit = next((path for path in beam if path.states[-1] == 0), None)
         if hit is not None:
             return DecodeResult(
                 True, hit.flips, 0, len(hit.actions), score=hit.score, path=hit
@@ -154,18 +147,15 @@ def action_list_decode(
         if depth >= cfg.d_max or not beam:
             break
         qs = _q_batch(qsrc, [path.states[-1] for path in beam])
-        pool: list[tuple[float, int, int, CandidatePath]] = []
-        for path, q in zip(beam, qs):
-            tail = path.states[-1]
+        pool: list[tuple[float, int, int]] = []  # (-value, action, parent rank)
+        for p, (path, q) in enumerate(zip(beam, qs)):
             for a in np.argsort(-q, kind="stable")[: cfg.k]:
                 v = float(q[a])
                 if v > path.score:
-                    child = CandidatePath(
-                        path.states + [tail ^ cols[a]], path.actions + [int(a)], v
-                    )
-                    pool.append((-v, int(a), len(child.actions), child))
-        pool.sort(key=lambda item: item[:3])
-        beam = [item[3] for item in pool[: cfg.k]]
+                    pool.append((-v, int(a), p))
+        pool.sort(key=lambda item: item[:2])
+        beam = [CandidatePath(beam[p].states + [beam[p].states[-1] ^ cols[a]],
+                              beam[p].actions + [a], -neg) for neg, a, p in pool[: cfg.k]]
         depth += 1
     return DecodeResult(False, 0, s0, depth)
 
@@ -295,7 +285,7 @@ def automorphism_list_decode(
     For each shift delta the received word is permuted, decoded, and the
     converged flip set pulled back through the inverse permutation.  Among
     converged candidates the minimum-weight flip set wins (ties: smallest
-    delta).
+    delta); its beam path is pulled back too, so it walks y's syndromes.
     """
     if H.qc is None:
         raise ValueError("automorphism decoding needs a quasi-cyclic code")
@@ -305,23 +295,26 @@ def automorphism_list_decode(
     if s == 0:
         # a codeword decodes to no flips whatever the shift set
         return action_list_decode(qsrc, 0, H, cfg)
-    best: tuple[int, int, DecodeResult] | None = None
+    best = None  # (weight, delta, flips, beam result, inverse permutation)
     for delta in shifts:
         perm, inverse = _shift_perms(spec, delta)
-        y_perm = perm.apply_int(y)
-        res = action_list_decode(qsrc, H.syndrome(y_perm), H, cfg)
+        res = action_list_decode(qsrc, H.syndrome(perm.apply_int(y)), H, cfg)
         if not res.converged:
             continue
         flips = inverse.apply_int(res.flips)
         if H.syndrome(y ^ flips) != 0:
             raise AssertionError("pulled-back flip set is not a valid correction")
-        cand = DecodeResult(True, flips, 0, res.steps, score=res.score, path=res.path)
-        key = (flips.bit_count(), delta)
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], cand)
+        if best is None or (flips.bit_count(), delta) < best[:2]:
+            best = (flips.bit_count(), delta, flips, res, inverse)
     if best is None:
         return DecodeResult(False, 0, s, 0)
-    return best[2]
+    _, _, flips, res, inverse = best
+    actions = [int(inverse.mapping[a]) for a in res.path.actions]
+    states = [s]
+    for a in actions:
+        states.append(states[-1] ^ H.cols_int[a])
+    path = CandidatePath(states, actions, res.score)
+    return DecodeResult(True, flips, 0, res.steps, score=res.score, path=path)
 
 
 @lru_cache(maxsize=None)
@@ -345,9 +338,10 @@ class Decoder:
 
     Calling it decodes one packed word y -> DecodeResult; `decode_batch`
     decodes the rows of a (B, n) matrix with row-for-row the same flips,
-    convergence and steps.  greedy and feedback take at most beam.d_max
-    policy steps; list and auto-list search with beam; bf and feedback's
-    inner decoder use bf.
+    convergence and steps.  feedback runs at most beam.d_max passes of bf,
+    each failed pass followed by one policy flip; greedy is that loop
+    without bf.  list and auto-list search with beam, and auto-list's path
+    is in y's coordinates.
     """
 
     kind: str
@@ -393,10 +387,8 @@ class Decoder:
             Y = E[rows]
             if self.kind == "bf":
                 out = bf_decode_batch(Y, self.H, self.bf)
-            elif self.kind == "greedy":
-                out = self._greedy_batch(bits_to_ints(S[rows]))
-            elif self.kind == "feedback":
-                out = self._feedback_batch(Y, bits_to_ints(S[rows]))
+            elif self.kind in ("greedy", "feedback"):
+                out = self._policy_batch(Y, bits_to_ints(S[rows]))
             else:
                 res = [self(y) for y in bits_to_ints(Y)]
                 out = (ints_to_bits([r.flips for r in res], self.H.n),
@@ -404,52 +396,32 @@ class Decoder:
             flips[rows], converged[rows], steps[rows] = out
         return flips, converged, steps
 
-    def _policy_step(self, ss: list[int], live: np.ndarray, *mats) -> np.ndarray:
-        """Flip the argmax-Q bit of each live row in mats and in its packed
-        syndrome ss[r]; returns the rows whose syndrome is still nonzero.
+    def _policy_batch(self, Y: np.ndarray, ss: list[int]):
+        """greedy_decode, or feedback_decode, over rows Y with packed syndromes ss.
 
-        Q rows come from one q_values call per row, as the scalar decoders
-        get them, so near-ties break the same way.
+        Each pass adds a step to every live row.  For feedback it then runs
+        bf_decode_batch on the live rows, each y plus its policy flips so
+        far, and retires the rows it corrects.  Every row still live flips
+        its argmax-Q bit.  Q rows come from one q_values call per row, as
+        the scalar decoders get them, so near-ties break the same way.
         """
         cols = self.H.cols_int
-        acts = np.array([np.argmax(self.qsrc.q_values(ss[r])) for r in live],
-                        dtype=np.intp)
-        for M in mats:
-            M[live, acts] ^= 1
-        for r, a in zip(live, acts):
-            ss[r] ^= cols[a]
-        return live[[ss[r] != 0 for r in live]]
-
-    def _greedy_batch(self, ss: list[int]):
-        """greedy_decode over rows with packed syndromes ss, all in step."""
-        flips = np.zeros((len(ss), self.H.n), dtype=np.uint8)
-        converged = np.ones(len(ss), dtype=bool)
-        steps = np.zeros(len(ss), dtype=np.int64)
-        live = np.arange(len(ss))
-        for _ in range(self.beam.d_max):
-            steps[live] += 1
-            live = self._policy_step(ss, live, flips)
-            if not live.size:
-                break
-        converged[live] = False
-        return flips, converged, steps
-
-    def _feedback_batch(self, Y: np.ndarray, ss: list[int]):
-        """feedback_decode over rows Y with packed syndromes ss.
-
-        Each pass runs bf_decode_batch on the rows still live, then flips
-        one policy bit in each row whose inner decode failed.
-        """
-        X = Y.copy()  # the inner decoder's input, y plus the policy flips
-        flips = np.zeros_like(Y)  # the policy flips, then the inner ones
+        flips = np.zeros_like(Y)  # the policy flips, then feedback's inner ones
         converged = np.ones(len(Y), dtype=bool)
         steps = np.zeros(len(Y), dtype=np.int64)
         live = np.arange(len(Y))
         for _ in range(self.beam.d_max):
-            inner, ok, _ = bf_decode_batch(X[live], self.H, self.bf)
             steps[live] += 1
-            flips[live[ok]] ^= inner[ok]
-            live = self._policy_step(ss, live[~ok], X, flips)
+            if self.kind == "feedback":
+                inner, ok, _ = bf_decode_batch(Y[live] ^ flips[live], self.H, self.bf)
+                flips[live[ok]] ^= inner[ok]
+                live = live[~ok]
+            acts = np.array([np.argmax(self.qsrc.q_values(ss[r])) for r in live],
+                            dtype=np.intp)
+            flips[live, acts] ^= 1
+            for r, a in zip(live, acts):
+                ss[r] ^= cols[a]
+            live = live[[ss[r] != 0 for r in live]]
             if not live.size:
                 break
         converged[live] = False

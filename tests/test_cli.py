@@ -203,6 +203,16 @@ def test_decode_list_path_printout(capsys):
     assert lines[1] == "Converged, 1 flip" and lines[2] == "flipped bits: 1"
 
 
+def test_decode_auto_list_path_is_in_the_received_words_coordinates(capsys):
+    # with a zero table the winning shift is not the identity; its path
+    # must still name the bit that was flipped in the received word
+    rc = main(["decode", "--code", "tanner", "--decoder", "auto-list", "--error", "6"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("step=1 syndrome=") and lines[0].endswith(" action=6")
+    assert lines[1:] == ["Converged, 1 flip", "flipped bits: 6"]
+
+
 def test_decode_bf_and_failure_exit_code(capsys):
     assert main(["decode", "--decoder", "bf", "--error", "40"]) == 0
     assert "Converged, 1 flip" in capsys.readouterr().out

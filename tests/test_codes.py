@@ -85,6 +85,7 @@ def test_batch_unpacking_matches_rows(width_and_values):
     n, xs = width_and_values
     rows = ints_to_bits(xs, n)
     assert rows.dtype == np.uint8 and rows.shape == (len(xs), n)
+    assert rows.flags.c_contiguous  # no padded base for callers to copy
     assert rows.tolist() == [[x >> i & 1 for i in range(n)] for x in xs]
     packed = bits_to_ints(rows)
     assert packed == xs and all(type(x) is int for x in packed)

@@ -177,6 +177,28 @@ def test_beam_root_ties_resolve_to_low_actions(hamming):
     assert res.converged and res.flips == 1
 
 
+@pytest.mark.parametrize("from_tail3, d_max, actions", [
+    ({2: 0.9}, 2, [4, 1]),          # to 0
+    ({0: 0.9, 1: 0.9}, 3, [3, 1, 0]),  # to 2 and 1
+])
+def test_beam_ties_below_the_root(hamming, from_tail3, d_max, actions):
+    # the root ranks paths [3] (tail 3) and [4] (tail 2), and every child
+    # value at depth 2 is 0.9.  First case: [3, 2] and [4, 1] both reach
+    # zero, and the lower action wins over the better-ranked parent.  Second
+    # case: [3, 0], [3, 1] and [4, 1] compete for k = 2 slots; action 1 ties,
+    # so the better-ranked parent keeps [3, 1], [4, 1] is cut, and [3, 1, 0]
+    # converges one depth later
+    table = {s: np.zeros(7) for s in (7, 3, 2, 1)}
+    table[7][3], table[7][4] = 0.5, 0.4
+    table[2][1] = 0.9   # 2 ^ col(1) = 0
+    table[1][0] = 1.0   # 1 ^ col(0) = 0
+    for a, v in from_tail3.items():
+        table[3][a] = v
+    res = action_list_decode(FakeQ(7, table), 7, hamming, BeamConfig(k=2, d_max=d_max))
+    assert res.converged and res.path.actions == actions and res.path.verify(hamming)
+    assert res.steps == len(actions)
+
+
 def test_beam_depth_cap(hamming):
     # strictly increasing scores along a chain that never reaches zero
     table = {
@@ -302,6 +324,15 @@ def test_feedback_combines_policy_and_inner_flips(hamming):
     assert hamming.syndrome(1 ^ res.flips) == 0
 
 
+def test_feedback_batch_feeds_the_policy_flips_to_the_inner_decoder(hamming):
+    # the case above through decode_batch: pass 2 must run bf on y ^ bit 5
+    policy = FakeQ(7, {1: np.eye(7)[5]})
+    decoder = Decoder("feedback", policy, hamming, bf=BitFlipConfig(tau=3))
+    flips, converged, steps = decoder.decode_batch(np.eye(7, dtype=np.uint8)[[0, 0]])
+    assert [bits_to_int(row) for row in flips] == [(1 << 5) | (1 << 6)] * 2
+    assert converged.all() and steps.tolist() == [2, 2]
+
+
 def test_feedback_outer_cap(hamming):
     res = feedback_decode(
         _always_fail(hamming), ZeroQ(7), 1 << 1, hamming, max_outer=4
@@ -336,6 +367,25 @@ def test_automorphism_shift_subset(small_qc):
     # a codeword decodes to no flips whatever the shift set, even none
     res = automorphism_list_decode(ZeroQ(small_qc.n), 0, small_qc, shifts=())
     assert res.converged and res.flips == 0
+
+
+def test_automorphism_path_is_in_the_received_words_coordinates(small_qc):
+    # OneHotQ converges in two steps on many weight-2 errors under shift 3;
+    # the returned path must walk y's syndromes, not the shifted word's
+    qsrc = OneHotQ(small_qc)
+    converged = 0
+    for i in range(small_qc.n):
+        for j in range(i):
+            y = 1 << i | 1 << j
+            res = automorphism_list_decode(qsrc, y, small_qc, shifts=[3])
+            if res.converged:
+                converged += 1
+                assert res.path.verify(small_qc) and res.path.states[-1] == 0
+                assert res.path.states[0] == small_qc.syndrome(y)
+                assert res.path.flips == res.flips and res.steps == 2
+    assert converged > 0
+    res = automorphism_list_decode(qsrc, 1 << 9, small_qc, shifts=[2])
+    assert res.path.actions == [9] and res.path.states[0] == small_qc.syndrome(1 << 9)
 
 
 def test_automorphism_reports_failure(small_qc):
