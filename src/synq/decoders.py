@@ -1,7 +1,9 @@
 """Syndrome decoders driven by a learned action-value source.
 
-A Q-source is any object with ``q_values(s) -> np.ndarray`` of per-bit
-action values for a packed syndrome s (and optionally ``q_values_batch``).
+A Q-source gives the per-bit action values of a packed syndrome s as
+``q_values(s)``, and of a list of syndromes as ``q_values_batch(states)``,
+whose row i equals ``q_values(states[i])`` bit for bit however many share
+the call, so no decode depends on how frames or shifts are batched.
 Decoders flip one code bit per action; the flip set is returned packed.
 `Decoder` runs any of the `KINDS` as one picklable callable, one packed word
 at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.
@@ -13,12 +15,16 @@ remaining ties, equal value and action, toward the better-ranked parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import accumulate
+from operator import xor
 
 import numpy as np
 
 from . import automorphism as am
-from .codes import ParityCheckMatrix, bits_to_ints, ints_to_bits
+from .codes import ParityCheckMatrix, bits_to_ints, int_to_bits
+
+Q_CHUNK = 1024  # syndromes whose Q rows are read at once
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +41,12 @@ class CandidatePath:
     score: float
 
     def verify(self, H: ParityCheckMatrix) -> bool:
-        return all(
-            self.states[i] ^ H.cols_int[self.actions[i]] == self.states[i + 1]
-            for i in range(len(self.actions))
-        )
+        return all(self.states[i] ^ H.cols_int[a] == self.states[i + 1]
+                   for i, a in enumerate(self.actions))
 
     @property
     def flips(self) -> int:
-        x = 0
-        for a in self.actions:
-            x ^= 1 << a
-        return x
+        return reduce(xor, (1 << a for a in self.actions), 0)
 
 
 @dataclass
@@ -75,25 +76,26 @@ class ZeroQ:
     def q_values(self, s: int) -> np.ndarray:
         return np.zeros(self.n)
 
+    def q_values_batch(self, states: list[int]) -> np.ndarray:
+        return np.zeros((len(states), self.n))
 
-def _q_batch(qsrc, states: list[int]) -> np.ndarray:
-    if hasattr(qsrc, "q_values_batch"):
-        return qsrc.q_values_batch(states)
-    return np.stack([qsrc.q_values(s) for s in states])
+
+def _q_chunks(qsrc, states: list[int]):
+    """The Q rows of states, Q_CHUNK at a time; one empty block if none."""
+    for lo in range(0, len(states) or 1, Q_CHUNK):
+        yield qsrc.q_values_batch(states[lo:lo + Q_CHUNK])
 
 
 # ---------------------------------------------------------------------------
-# greedy policy decoding
+# greedy and feedback policy decoding
 # ---------------------------------------------------------------------------
 
 
-def greedy_decode(
-    qsrc, y: int, H: ParityCheckMatrix, max_steps: int = 10, trace: list | None = None
-) -> DecodeResult:
+def greedy_decode(qsrc, y: int, H: ParityCheckMatrix, max_steps: int = 10,
+                  trace: list | None = None) -> DecodeResult:
     """Repeatedly flip the argmax-Q bit until zero syndrome or max_steps."""
     s = H.syndrome(y)
-    flips = 0
-    steps = 0
+    flips = steps = 0
     while s and steps < max_steps:
         q = qsrc.q_values(s)
         a = int(np.argmax(q))
@@ -105,8 +107,30 @@ def greedy_decode(
     return DecodeResult(s == 0, flips, s, steps)
 
 
+def feedback_decode(phi, qsrc, y: int, H: ParityCheckMatrix, max_outer: int = 10,
+                    trace: list | None = None) -> DecodeResult:
+    """Run the inner decoder phi; on failure flip one policy bit and retry.
+
+    phi is a callable (word) -> DecodeResult.  The policy sees the syndrome
+    of phi's current input.  At most max_outer invocations of phi.
+    """
+    x_in, s_in, outer = y, H.syndrome(y), 0
+    while s_in and outer < max_outer:
+        inner = phi(x_in)
+        outer += 1
+        if inner.converged:
+            return DecodeResult(True, y ^ x_in ^ inner.flips, 0, outer)
+        q = qsrc.q_values(s_in)
+        a = int(np.argmax(q))
+        if trace is not None:
+            trace.append((s_in, a, float(q[a])))
+        x_in ^= 1 << a
+        s_in ^= H.cols_int[a]
+    return DecodeResult(s_in == 0, y ^ x_in, s_in, outer)
+
+
 # ---------------------------------------------------------------------------
-# action-list (beam) decoding
+# action-list (beam) decoding and its automorphism ensemble
 # ---------------------------------------------------------------------------
 
 
@@ -120,44 +144,115 @@ class BeamConfig:
             raise ValueError("beam width and depth must be >= 1")
 
 
-def action_list_decode(
-    qsrc, s0: int, H: ParityCheckMatrix, cfg: BeamConfig = BeamConfig()
-) -> DecodeResult:
+def action_list_decode(qsrc, s0: int, H: ParityCheckMatrix,
+                       cfg: BeamConfig = BeamConfig()) -> DecodeResult:
     """Beam search over flip sequences, keeping the k best-scoring paths.
 
     The root is expanded to its top-k actions unconditionally; deeper
     extensions must strictly improve on the parent path's score.  After each
     global prune the highest-scoring zero-syndrome path, if any, is returned.
     """
-    if s0 == 0:
-        return DecodeResult(True, 0, 0, 0, score=0.0, path=CandidatePath([0], [], 0.0))
-    cols = H.cols_int
-    q0 = qsrc.q_values(s0)
-    order = np.argsort(-q0, kind="stable")[: cfg.k]
-    beam = [
-        CandidatePath([s0, s0 ^ cols[a]], [int(a)], float(q0[a])) for a in order
-    ]
-    depth = 1
-    while True:
-        hit = next((path for path in beam if path.states[-1] == 0), None)
-        if hit is not None:
-            return DecodeResult(
-                True, hit.flips, 0, len(hit.actions), score=hit.score, path=hit
-            )
-        if depth >= cfg.d_max or not beam:
+    return _result(s0, _beam(qsrc, [s0], H, cfg), H)
+
+
+def _beam(qsrc, roots: list[int], H: ParityCheckMatrix, cfg: BeamConfig):
+    """`action_list_decode` from every packed root syndrome at once, all
+    beams advancing together as one list of paths grouped by root and in
+    beam order within a root.  Returns (flips, converged, steps, score,
+    actions) per root, the actions of its hit padded with -1."""
+    tail = np.array(roots, dtype=object)
+    converged, steps, score = tail == 0, np.zeros(tail.size, np.int64), np.zeros(tail.size)
+    actions = np.empty((tail.size, 0), dtype=np.intp)
+    cols = np.array(H.cols_int, dtype=object)
+    # a live root is a path of depth 0, scored below any action value so
+    # that it expands to its top k unconditionally
+    root = np.flatnonzero(~converged)
+    tail, value, path = tail[root], np.full(root.size, -np.inf), actions[root]
+    for depth in range(1, cfg.d_max + 1):
+        if not root.size:
             break
-        qs = _q_batch(qsrc, [path.states[-1] for path in beam])
-        pool: list[tuple[float, int, int]] = []  # (-value, action, parent rank)
-        for p, (path, q) in enumerate(zip(beam, qs)):
-            for a in np.argsort(-q, kind="stable")[: cfg.k]:
-                v = float(q[a])
-                if v > path.score:
-                    pool.append((-v, int(a), p))
-        pool.sort(key=lambda item: item[:2])
-        beam = [CandidatePath(beam[p].states + [beam[p].states[-1] ^ cols[a]],
-                              beam[p].actions + [a], -neg) for neg, a, p in pool[: cfg.k]]
-        depth += 1
-    return DecodeResult(False, 0, s0, depth)
+        steps[root] = depth
+        top, val = [], []
+        for q in _q_chunks(qsrc, tail.tolist()):
+            top.append(np.argsort(-q, axis=1, kind="stable")[:, :cfg.k])
+            val.append(np.take_along_axis(q, top[-1], axis=1))
+        top, val = np.concatenate(top), np.concatenate(val)
+        parent, j = np.nonzero(val > value[:, None])
+        a, v, r = top[parent, j], val[parent, j], root[parent]
+        order = np.lexsort((parent, a, -v, r))
+        keep = order[np.arange(r.size) - np.searchsorted(r[order], r[order]) < cfg.k]
+        parent, a = parent[keep], a[keep]
+        root, value, tail = root[parent], v[keep], tail[parent] ^ cols[a]
+        path = np.column_stack((path[parent], a))
+        zero = np.flatnonzero(tail == 0)
+        hit, first = np.unique(root[zero], return_index=True)
+        converged[hit], score[hit] = True, value[zero[first]]
+        actions = np.column_stack((actions, np.full(len(roots), -1)))
+        actions[hit] = path[zero[first]]
+        live = ~converged[root]
+        root, value, tail, path = root[live], value[live], tail[live], path[live]
+    flips = np.zeros((len(roots), H.n), dtype=np.uint8)
+    r, c = np.nonzero(actions >= 0)
+    np.bitwise_xor.at(flips, (r, actions[r, c]), 1)
+    return flips, converged, steps, score, actions
+
+
+def _result(s0: int, found, H: ParityCheckMatrix) -> DecodeResult:
+    """Row 0 of a `_beam` or `_ensemble` output as the result for root s0."""
+    _, converged, steps, score, actions = (x[0] for x in found)
+    if not converged:
+        return DecodeResult(False, 0, s0, int(steps))
+    actions = actions[:steps].tolist()
+    states = list(accumulate(actions, lambda s, a: s ^ H.cols_int[a], initial=s0))
+    path = CandidatePath(states, actions, float(score))
+    return DecodeResult(True, path.flips, 0, len(actions), score=path.score, path=path)
+
+
+def automorphism_list_decode(qsrc, y: int, H: ParityCheckMatrix,
+                             cfg: BeamConfig = BeamConfig(), shifts=None) -> DecodeResult:
+    """Beam-decode every cyclically shifted copy of y and keep the best.
+
+    One beam searches all shifted words.  Among converged shifts the
+    minimum-weight flip set wins (ties: smallest delta), and only the winner
+    is pulled back: its flips and its beam path, which walks y's syndromes.
+    """
+    if H.qc is None:
+        raise ValueError("automorphism decoding needs a quasi-cyclic code")
+    shifts = range(H.qc.p) if shifts is None else tuple(shifts)
+    s = H.syndrome(y)
+    if s == 0:  # a codeword decodes to no flips whatever the shift set
+        return action_list_decode(qsrc, 0, H, cfg)
+    if not shifts:
+        return DecodeResult(False, 0, s, 0)
+    return _result(s, _ensemble(qsrc, int_to_bits(y, H.n)[None], H, cfg, shifts), H)
+
+
+def _ensemble(qsrc, Y: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts):
+    """automorphism_list_decode over the rows of a (B, n) word matrix: `_beam`'s
+    output for each row's winning shift, pulled back into the row's
+    coordinates (0 steps where no shift converges).  A shift keeps the flip
+    weight, so the winner is picked before the pull-back."""
+    inverse = _inverse_shifts(H.qc, tuple(sorted(set(shifts))))
+    B, S = len(Y), len(inverse)
+    # row b*S + j is word b shifted: its bit i is bit inverse[j, i] of the word
+    flips_of_shifted, converged, steps, score, actions = _beam(qsrc, bits_to_ints(
+        H.syndrome_batch(Y[:, inverse].reshape(B * S, H.n))), H, cfg)
+    weight = np.where(converged, flips_of_shifted.sum(axis=1), H.n + 1).reshape(B, S)
+    win = weight.argmin(axis=1)  # the first minimum, at the smallest delta
+    r = np.arange(B) * S + win
+    actions = np.where(actions[r] >= 0, np.take_along_axis(
+        inverse[win], np.maximum(actions[r], 0), axis=1), -1)
+    flips, converged = np.zeros_like(Y), converged[r]
+    np.put_along_axis(flips, inverse[win], flips_of_shifted[r], axis=1)
+    if H.syndrome_batch(Y ^ flips)[converged].any():
+        raise AssertionError("pulled-back flip set is not a valid correction")
+    return flips, converged, np.where(converged, steps[r], 0), score[r], actions
+
+
+@lru_cache(maxsize=None)
+def _inverse_shifts(spec, shifts: tuple) -> np.ndarray:
+    """Row j: the inverse of the variable-side permutation of shift shifts[j]."""
+    return np.array([am.shift_pair(spec, d).var.inverse().mapping for d in shifts])
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +270,8 @@ class BitFlipConfig:
             raise ValueError("tau and max_iter must be >= 1")
 
 
-def bit_flipping_decode(
-    y: int, H: ParityCheckMatrix, cfg: BitFlipConfig = BitFlipConfig()
-) -> DecodeResult:
+def bit_flipping_decode(y: int, H: ParityCheckMatrix,
+                        cfg: BitFlipConfig = BitFlipConfig()) -> DecodeResult:
     """Flip every bit with >= tau unsatisfied checks, all at once, per iteration.
 
     Stops at zero syndrome, at a fixed point (no bit reaches tau), or after
@@ -185,8 +279,7 @@ def bit_flipping_decode(
     """
     cols = H.cols_int
     s = H.syndrome(y)
-    flips = 0
-    iters = 0
+    flips = iters = 0
     while s and iters < cfg.max_iter:
         mask = 0
         for i in range(H.n):
@@ -222,106 +315,13 @@ def bf_decode_batch(
         alive = (S.any(axis=1)) & (flip.any(axis=1))
         if not alive.any():
             break
-        active = active[alive]
-        flip = flip[alive]
+        active, flip = active[alive], flip[alive]
         work[active] ^= flip
         flips[active] ^= flip
         iters[active] += 1
         S = H.syndrome_batch(work[active])
     converged = ~H.syndrome_batch(work).any(axis=1)
     return flips, converged, iters
-
-
-# ---------------------------------------------------------------------------
-# feedback decoding around an inner decoder
-# ---------------------------------------------------------------------------
-
-
-def feedback_decode(
-    phi,
-    qsrc,
-    y: int,
-    H: ParityCheckMatrix,
-    max_outer: int = 10,
-    trace: list | None = None,
-) -> DecodeResult:
-    """Run the inner decoder phi; on failure flip one policy bit and retry.
-
-    phi is a callable (word) -> DecodeResult.  The policy sees the syndrome
-    of phi's current input.  At most max_outer invocations of phi.
-    """
-    x_in = y
-    s_in = H.syndrome(y)
-    outer = 0
-    while s_in and outer < max_outer:
-        inner = phi(x_in)
-        outer += 1
-        if inner.converged:
-            x_out = x_in ^ inner.flips
-            return DecodeResult(True, y ^ x_out, 0, outer)
-        q = qsrc.q_values(s_in)
-        a = int(np.argmax(q))
-        if trace is not None:
-            trace.append((s_in, a, float(q[a])))
-        x_in ^= 1 << a
-        s_in ^= H.cols_int[a]
-    return DecodeResult(s_in == 0, y ^ x_in, s_in, outer)
-
-
-# ---------------------------------------------------------------------------
-# automorphism ensemble around the action-list decoder
-# ---------------------------------------------------------------------------
-
-
-def automorphism_list_decode(
-    qsrc,
-    y: int,
-    H: ParityCheckMatrix,
-    cfg: BeamConfig = BeamConfig(),
-    shifts=None,
-) -> DecodeResult:
-    """Beam-decode every cyclically shifted copy of y and keep the best.
-
-    For each shift delta the received word is permuted, decoded, and the
-    converged flip set pulled back through the inverse permutation.  Among
-    converged candidates the minimum-weight flip set wins (ties: smallest
-    delta); its beam path is pulled back too, so it walks y's syndromes.
-    """
-    if H.qc is None:
-        raise ValueError("automorphism decoding needs a quasi-cyclic code")
-    spec = H.qc
-    shifts = range(spec.p) if shifts is None else tuple(shifts)
-    s = H.syndrome(y)
-    if s == 0:
-        # a codeword decodes to no flips whatever the shift set
-        return action_list_decode(qsrc, 0, H, cfg)
-    best = None  # (weight, delta, flips, beam result, inverse permutation)
-    for delta in shifts:
-        perm, inverse = _shift_perms(spec, delta)
-        res = action_list_decode(qsrc, H.syndrome(perm.apply_int(y)), H, cfg)
-        if not res.converged:
-            continue
-        flips = inverse.apply_int(res.flips)
-        if H.syndrome(y ^ flips) != 0:
-            raise AssertionError("pulled-back flip set is not a valid correction")
-        if best is None or (flips.bit_count(), delta) < best[:2]:
-            best = (flips.bit_count(), delta, flips, res, inverse)
-    if best is None:
-        return DecodeResult(False, 0, s, 0)
-    _, _, flips, res, inverse = best
-    actions = [int(inverse.mapping[a]) for a in res.path.actions]
-    states = [s]
-    for a in actions:
-        states.append(states[-1] ^ H.cols_int[a])
-    path = CandidatePath(states, actions, res.score)
-    return DecodeResult(True, flips, 0, res.steps, score=res.score, path=path)
-
-
-@lru_cache(maxsize=None)
-def _shift_perms(spec, delta: int):
-    """The variable-side permutation of the cyclic shift by delta, and its inverse."""
-    perm = am.shift_pair(spec, delta).var
-    return perm, perm.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,12 @@ class Decoder:
     beam: BeamConfig = BeamConfig()
     bf: BitFlipConfig = BitFlipConfig()
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown decoder kind {self.kind!r}")
+        if self.kind == "auto-list" and self.H.qc is None:
+            raise ValueError("automorphism decoding needs a quasi-cyclic code")
+
     def __call__(self, y: int) -> DecodeResult:
         # the decoders are looked up as module globals at call time, so
         # wrapping them on the module (as a tracer does) sees every call
@@ -362,53 +368,47 @@ class Decoder:
         if self.kind == "feedback":
             phi = partial(bit_flipping_decode, H=self.H, cfg=self.bf)
             return feedback_decode(phi, self.qsrc, y, self.H, self.beam.d_max)
-        if self.kind == "auto-list":
-            return automorphism_list_decode(self.qsrc, y, self.H, self.beam)
-        raise ValueError(f"unknown decoder kind {self.kind!r}")
+        return automorphism_list_decode(self.qsrc, y, self.H, self.beam)
 
     def decode_batch(self, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode each row of a (B, n) uint8 error matrix.
 
         Returns (flips (B, n) uint8, converged (B,) bool, steps (B,) int),
         row b equal to what calling the decoder on row b gives.  Rows with
-        a zero syndrome are done before any decoder runs.
+        a zero syndrome are done before any decoder runs; the others go in
+        groups of at most Q_CHUNK beam roots, which bounds the paths held.
         """
         E = np.ascontiguousarray(E, dtype=np.uint8)
         if E.ndim != 2 or E.shape[1] != self.H.n:
             raise ValueError("error patterns must be (B, n)")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
-        flips = np.zeros_like(E)
-        converged = np.ones(len(E), dtype=bool)
-        steps = np.zeros(len(E), dtype=np.int64)
+        flips, converged, steps = np.zeros_like(E), np.ones(len(E), bool), np.zeros(len(E), int)
         S = self.H.syndrome_batch(E)
-        rows = np.flatnonzero(S.any(axis=1))
-        if rows.size:
+        nonzero = np.flatnonzero(S.any(axis=1))
+        group = max(1, Q_CHUNK // self.H.qc.p) if self.kind == "auto-list" else Q_CHUNK
+        for lo in range(0, nonzero.size, group):
+            rows = nonzero[lo:lo + group]
             Y = E[rows]
             if self.kind == "bf":
                 out = bf_decode_batch(Y, self.H, self.bf)
             elif self.kind in ("greedy", "feedback"):
                 out = self._policy_batch(Y, bits_to_ints(S[rows]))
+            elif self.kind == "list":
+                out = _beam(self.qsrc, bits_to_ints(S[rows]), self.H, self.beam)
             else:
-                res = [self(y) for y in bits_to_ints(Y)]
-                out = (ints_to_bits([r.flips for r in res], self.H.n),
-                       [r.converged for r in res], [r.steps for r in res])
-            flips[rows], converged[rows], steps[rows] = out
+                out = _ensemble(self.qsrc, Y, self.H, self.beam, range(self.H.qc.p))
+            flips[rows], converged[rows], steps[rows] = out[:3]
         return flips, converged, steps
 
     def _policy_batch(self, Y: np.ndarray, ss: list[int]):
         """greedy_decode, or feedback_decode, over rows Y with packed syndromes ss.
 
         Each pass adds a step to every live row.  For feedback it then runs
-        bf_decode_batch on the live rows, each y plus its policy flips so
-        far, and retires the rows it corrects.  Every row still live flips
-        its argmax-Q bit.  Q rows come from one q_values call per row, as
-        the scalar decoders get them, so near-ties break the same way.
-        """
-        cols = self.H.cols_int
-        flips = np.zeros_like(Y)  # the policy flips, then feedback's inner ones
-        converged = np.ones(len(Y), dtype=bool)
-        steps = np.zeros(len(Y), dtype=np.int64)
+        bf_decode_batch on the live rows, each y plus its policy flips so far,
+        and retires the rows it corrects.  Every row still live flips its
+        argmax-Q bit."""
+        cols, ss = np.array(self.H.cols_int, dtype=object), np.array(ss, dtype=object)
+        # the policy flips, then feedback's inner ones
+        flips, converged, steps = np.zeros_like(Y), np.ones(len(Y), bool), np.zeros(len(Y), int)
         live = np.arange(len(Y))
         for _ in range(self.beam.d_max):
             steps[live] += 1
@@ -416,12 +416,11 @@ class Decoder:
                 inner, ok, _ = bf_decode_batch(Y[live] ^ flips[live], self.H, self.bf)
                 flips[live[ok]] ^= inner[ok]
                 live = live[~ok]
-            acts = np.array([np.argmax(self.qsrc.q_values(ss[r])) for r in live],
-                            dtype=np.intp)
+            acts = np.concatenate([q.argmax(axis=1) for q in
+                                   _q_chunks(self.qsrc, ss[live].tolist())])
             flips[live, acts] ^= 1
-            for r, a in zip(live, acts):
-                ss[r] ^= cols[a]
-            live = live[[ss[r] != 0 for r in live]]
+            ss[live] ^= cols[acts]
+            live = live[ss[live] != 0]
             if not live.size:
                 break
         converged[live] = False

@@ -109,7 +109,10 @@ class MlpNetwork:
         return self.forward(int_to_bits(s, self.m).astype(np.float64))
 
     def q_values_batch(self, states: list[int]) -> np.ndarray:
-        return self.forward_batch(ints_to_bits(states, self.m).astype(np.float64))
+        """Row i is q_values(states[i]) bit for bit, whatever the batch."""
+        X = ints_to_bits(states, self.m).astype(np.float64)[:, :, None]
+        h = np.maximum(np.matmul(self.W1, X)[:, :, 0] + self.b1, 0.0)
+        return np.matmul(self.W2, h[:, :, None])[:, :, 0] + self.b2
 
 
 # ---------------------------------------------------------------------------

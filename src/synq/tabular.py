@@ -36,7 +36,6 @@ class TrainConfig:
     eps_min: float = 0.05
     seed: int = 0
     check_every: int = 0  # 0 disables the stop_when hook
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -45,8 +44,6 @@ class TrainConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
 
 
 def epsilon_at(t: int, eps_max: float, eps_min: float, episodes: int) -> float:
@@ -57,30 +54,31 @@ def epsilon_at(t: int, eps_max: float, eps_min: float, episodes: int) -> float:
 class QTable:
     """Sparse syndrome-indexed action-value table.
 
-    dtype float32 halves resident memory for multi-million-state runs; files
-    always store float64.  `meta` is the file header and always holds n, m.
+    `meta` is the file header and always holds n, m.
     """
 
-    def __init__(self, n: int, m: int, meta: dict | None = None,
-                 dtype=np.float64):
+    def __init__(self, n: int, m: int, meta: dict | None = None):
         if n < 1 or m < 1:
             raise ValueError(f"table needs n, m >= 1, got {n!r}, {m!r}")
         self.n = n
         self.m = m
         self.meta = {**(meta or {}), "n": n, "m": m}
-        self.dtype = np.dtype(dtype)
         self._rows: dict[int, np.ndarray] = {}
-        self._zero = np.zeros(n, dtype=self.dtype)
+        self._zero = np.zeros(n)
         self._zero.flags.writeable = False
 
     def q_values(self, s: int) -> np.ndarray:
         """Value row for s; unseen states read as zeros (no row is created)."""
         return self._rows.get(s, self._zero)
 
+    def q_values_batch(self, states: list[int]) -> np.ndarray:
+        """The q_values rows of states, stacked."""
+        return np.array([self._rows.get(s, self._zero) for s in states]).reshape(-1, self.n)
+
     def row(self, s: int) -> np.ndarray:
         r = self._rows.get(s)
         if r is None:
-            r = self._rows[s] = np.zeros(self.n, dtype=self.dtype)
+            r = self._rows[s] = np.zeros(self.n)
         return r
 
     def greedy(self, s: int) -> int:
@@ -163,7 +161,7 @@ def train_q(
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x7AB1E], np.uint64))
     )
-    Q = QTable(n, H.m, dtype=cfg.dtype, meta={
+    Q = QTable(n, H.m, meta={
         "code_hash": H.code_hash,
         "variant": env.cfg.variant,
         "config": {

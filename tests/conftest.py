@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from synq.automorphism import shift_pair
 from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec,
                         build_qc_ldpc, random_parity_check)
 
@@ -56,3 +57,61 @@ def ball_reference(H, w):
                 x |= 1 << i
             out.append((s, u, x))
     return out
+
+
+def beam_reference(qsrc, s0, H, cfg):
+    """The action-list beam one root at a time: (converged, flips, steps,
+    score, actions).  The root expands to its top k actions; each deeper
+    depth pools the top-k children that strictly improve their parent,
+    sorts them stably on (-value, action), so equal keys keep their
+    parent's rank, and keeps k; the first zero-syndrome path wins."""
+    if s0 == 0:
+        return True, 0, 0, 0.0, []
+    q0 = qsrc.q_values(s0)
+    beam = [(s0 ^ H.cols_int[a], [int(a)], float(q0[a]))
+            for a in np.argsort(-q0, kind="stable")[: cfg.k]]
+    depth = 1
+    while True:
+        hit = next((path for path in beam if path[0] == 0), None)
+        if hit is not None:
+            flips = 0
+            for a in hit[1]:
+                flips ^= 1 << a
+            return True, flips, depth, hit[2], hit[1]
+        if depth >= cfg.d_max or not beam:
+            return False, 0, depth, None, None
+        pool = []  # (-value, action, parent rank)
+        for p, (tail, _, score) in enumerate(beam):
+            q = qsrc.q_values(tail)
+            for a in np.argsort(-q, kind="stable")[: cfg.k]:
+                if float(q[a]) > score:
+                    pool.append((-float(q[a]), int(a), p))
+        pool.sort(key=lambda item: item[:2])
+        beam = [(beam[p][0] ^ H.cols_int[a], beam[p][1] + [a], -neg)
+                for neg, a, p in pool[: cfg.k]]
+        depth += 1
+
+
+def ensemble_reference(qsrc, y, H, cfg, shifts):
+    """The automorphism ensemble one shift at a time, as beam_reference's
+    tuple: every shifted word is beam-decoded, each converged flip set is
+    pulled back and checked, and the least (weight, delta) wins; its
+    actions are pulled back into y's coordinates.  A codeword converges
+    with no flips; with no converged shift the result fails in 0 steps."""
+    if H.syndrome(y) == 0:
+        return True, 0, 0, 0.0, []
+    best = None
+    for delta in shifts:
+        perm = shift_pair(H.qc, delta).var
+        inverse = perm.inverse()
+        conv, flips, steps, score, actions = beam_reference(
+            qsrc, H.syndrome(perm.apply_int(y)), H, cfg)
+        if not conv:
+            continue
+        flips = inverse.apply_int(flips)
+        assert H.syndrome(y ^ flips) == 0
+        if best is None or (flips.bit_count(), delta) < best[0]:
+            best = ((flips.bit_count(), delta),
+                    (True, flips, steps, score,
+                     [int(inverse.mapping[a]) for a in actions]))
+    return best[1] if best is not None else (False, 0, 0, None, None)

@@ -213,6 +213,21 @@ def test_decode_auto_list_path_is_in_the_received_words_coordinates(capsys):
     assert lines[1:] == ["Converged, 1 flip", "flipped bits: 6"]
 
 
+def test_auto_list_needs_a_quasi_cyclic_code_before_any_frame(tmp_path, capsys):
+    # an alist file carries no quasi-cyclic spec; at rho = 0 no frame ever
+    # reaches the decoder, and the run must still stop with exit 2
+    path = tmp_path / "s.alist"
+    assert main(["build-code", *SMALL, "--out", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["simulate", "--rhos", "0.0", "--max-frames", "200",
+                  "--target-errors", "10"], ["decode", "--error", ""]):
+        assert main([*argv, "--code", str(path), "--decoder", "auto-list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "automorphism decoding needs a quasi-cyclic code"}
+
+
 def test_decode_bf_and_failure_exit_code(capsys):
     assert main(["decode", "--decoder", "bf", "--error", "40"]) == 0
     assert "Converged, 1 flip" in capsys.readouterr().out

@@ -10,10 +10,18 @@ from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            automorphism_list_decode, bf_decode_batch,
                            bit_flipping_decode, feedback_decode, greedy_decode)
 from synq.neural import MlpNetwork
-from conftest import rng_for_tests
+from conftest import (ball_reference, beam_reference, ensemble_reference,
+                      rng_for_tests)
 
 
-class OneHotQ:
+class StackedQ:
+    """q_values_batch as the stack of q_values rows, for the doubles below."""
+
+    def q_values_batch(self, states):
+        return np.array([self.q_values(s) for s in states]).reshape(len(states), self.n)
+
+
+class OneHotQ(StackedQ):
     """Ideal single-error policy: spike at the bit whose column equals s."""
 
     def __init__(self, H):
@@ -28,7 +36,7 @@ class OneHotQ:
         return q
 
 
-class FakeQ:
+class FakeQ(StackedQ):
     """Q-source backed by an explicit {syndrome: values} table."""
 
     def __init__(self, n, table):
@@ -39,7 +47,7 @@ class FakeQ:
         return self.table.get(s, np.zeros(self.n))
 
 
-class RandomQ:
+class RandomQ(StackedQ):
     """A random Q-table: the row of syndrome s is a fixed draw keyed (seed, s)."""
 
     def __init__(self, n, seed):
@@ -84,6 +92,11 @@ def test_decode_result_status():
 def test_zero_q():
     q = ZeroQ(5).q_values(17)
     assert q.shape == (5,) and not q.any()
+
+
+def test_zero_q_batch():
+    assert np.array_equal(ZeroQ(5).q_values_batch([17, 0, 17]), np.zeros((3, 5)))
+    assert ZeroQ(5).q_values_batch([]).shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +506,67 @@ def test_decode_batch_shape_validation(hamming):
         decoder.decode_batch(np.zeros((2, 8), dtype=np.uint8))
     with pytest.raises(ValueError):
         decoder.decode_batch(np.zeros(7, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# the one beam against the one-root-at-a-time references
+# ---------------------------------------------------------------------------
+
+
+def _tied_source(name, H, seed):
+    """A Q-source with exact ties.  The table values action a at syndrome s
+    by minus the weight s ^ col(a) is left with, plus one of three 0/1 rows
+    by s mod 3; so its beams go deep and equal values abound.  The MLP's
+    output rows repeat."""
+    rng = rng_for_tests(seed)
+    if name == "table":
+        rows = rng.integers(0, 2, size=(3, H.n))
+        return FakeQ(H.n, {s: rows[s % 3] - [(s ^ c).bit_count() for c in H.cols_int]
+                           for s, _, _ in ball_reference(H, 3)})
+    net = MlpNetwork.init(H.m, 8, H.n, seed)
+    twin = rng.integers(0, 4, size=H.n)
+    return MlpNetwork(net.W1, net.b1, net.W2[twin], net.b2[twin])
+
+
+def _as_reference(res):
+    actions = res.path.actions if res.path is not None else None
+    return res.converged, res.flips, res.steps, res.score, actions
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(["table", "mlp"]), seed=st.integers(0, 2**16),
+       k=st.integers(1, 4), d_max=st.integers(1, 6),
+       words=st.lists(st.sets(st.integers(0, 20), max_size=5), min_size=1, max_size=6),
+       shifts=st.sets(st.integers(0, 6)))
+# two paths reach zero at depth 2, and the first in beam order wins
+@example(source="table", seed=42, k=2, d_max=6, words=[{8, 13}], shifts=set())
+# at depth 2 a tie on (value, action) straddles the cut of k = 3, and the
+# better-ranked parent's child is the one that converges at depth 3
+@example(source="table", seed=0, k=3, d_max=3, words=[{2, 8, 12}], shifts={0})
+def test_one_beam_matches_the_references(small_qc, source, seed, k, d_max, words,
+                                         shifts):
+    H, cfg = small_qc, BeamConfig(k, d_max)
+    qsrc = _tied_source(source, H, seed)
+    E = np.zeros((len(words), H.n), dtype=np.uint8)
+    for row, positions in zip(E, words):
+        row[list(positions)] = 1
+    ys = [bits_to_int(e) for e in E]
+    for y in ys:
+        s = H.syndrome(y)
+        res = action_list_decode(qsrc, s, H, cfg)
+        assert _as_reference(res) == beam_reference(qsrc, s, H, cfg)
+        if res.converged:
+            assert res.path.verify(H) and res.path.states[0] == s
+        for subset in (sorted(shifts), range(H.qc.p)):
+            res = automorphism_list_decode(qsrc, y, H, cfg, subset)
+            assert _as_reference(res) == ensemble_reference(qsrc, y, H, cfg, subset)
+            if res.converged:
+                assert res.path.verify(H) and res.path.states[0] == s
+    for kind in ("list", "auto-list"):
+        flips, converged, steps = Decoder(kind, qsrc, H, cfg).decode_batch(E)
+        for b, y in enumerate(ys):
+            if kind == "list":
+                want = beam_reference(qsrc, H.syndrome(y), H, cfg)
+            else:
+                want = ensemble_reference(qsrc, y, H, cfg, range(H.qc.p))
+            assert (bool(converged[b]), bits_to_int(flips[b]), int(steps[b])) == want[:3]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synq.codes import hamming_ball_syndromes, int_to_bits
+from synq.codes import bits_to_ints, hamming_ball_syndromes, int_to_bits
 from synq.decoders import greedy_decode
 from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets
 from synq.neural import (Adam, DqnConfig, MlpNetwork, ReplayBuffer, Sgd,
@@ -58,6 +58,20 @@ def test_q_values_uses_syndrome_bits():
     want = net.forward(int_to_bits(s, 8).astype(float))
     assert net.q_values(s) == pytest.approx(want)
     assert net.q_values_batch([s, 0])[0] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("hidden", [8, 128, 512])
+def test_q_values_batch_rows_are_q_values_bit_for_bit(hidden):
+    # decodes share Q calls across frames and shifts, so a row must not
+    # depend on how many rows share the call (a matrix product's rows do)
+    net = MlpNetwork.init(93, hidden, 155, seed=hidden)
+    rng = rng_for_tests(hidden)
+    for B in (0, 1, 2, 5, 64, 1024):
+        states = bits_to_ints(rng.integers(0, 2, size=(B, 93)))
+        Q = net.q_values_batch(states)
+        assert Q.shape == (B, 155)
+        for s, row in zip(states, Q):
+            assert np.array_equal(row, net.q_values(s)), (B, s)
 
 
 def test_network_validation():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.channel import BscConfig, sample_error
-from synq.decoders import KINDS, BitFlipConfig, DecodeResult, Decoder
+from synq.decoders import KINDS, BeamConfig, BitFlipConfig, DecodeResult, Decoder
+from synq.neural import MlpNetwork
 from synq.sim import (AutomorphismDecoder, BeamDecoder, BfDecoder,
                       FeedbackDecoder, GreedyDecoder, SimConfig, ordered_map,
                       run_curve, run_point, write_curve)
@@ -129,6 +130,33 @@ def test_memory_does_not_grow_with_the_batch(tanner):
         tracemalloc.stop()
     assert pt.frames == 100_000 and pt.frame_errors == 0
     assert peak < 12 * 2**20
+
+
+def test_beam_memory_does_not_grow_with_the_batch(tanner):
+    # a beam of k = 5 holds 5,120 paths for a slice of 1,024 frames; their
+    # h = 512 hidden layers alone, read at once, would take 21 MB
+    net = MlpNetwork.init(tanner.m, 512, tanner.n, seed=0)
+    tracemalloc.start()
+    try:
+        pt = run_point(BeamDecoder(net, tanner, BeamConfig(k=5)), tanner.n, 0.05,
+                       SimConfig(max_frames=1024, target_errors=10**6, batch=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pt.frames == 1024
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["list", "auto-list"])
+def test_frame_results_do_not_depend_on_the_batch(small_qc, tanner, kind):
+    # every frame's beam reads the same Q rows however many frames, and
+    # shifts, share a call; so the batch size cannot change any count
+    H = tanner if kind == "list" else small_qc
+    decoder = Decoder(kind, MlpNetwork.init(H.m, 64, H.n, seed=3), H, BeamConfig(k=5))
+    points = {run_point(decoder, H.n, 0.03, SimConfig(
+        max_frames=300, target_errors=10**6, batch=batch, seed=2))
+        for batch in (1, 7, 1000)}
+    assert len(points) == 1 and points.pop().frame_errors > 0
 
 
 def test_oracle_decoder_measures_zero(hamming):

@@ -60,10 +60,17 @@ def test_greedy_breaks_ties_toward_low_index():
     assert Q.greedy(5) == 0  # unseen row: all zeros
 
 
-def test_float32_table_opt_in():
-    Q = QTable(n=3, m=4, dtype=np.float32)
-    Q.row(1)[0] = 1.0
-    assert Q.q_values(1).dtype == np.float32
+def test_q_values_batch_rows_are_q_values():
+    Q = QTable(n=3, m=4)
+    Q.row(2)[:] = [0.5, -1.0, 2.0]
+    Q.row(9)[:] = [1.0, 1.0, 0.0]
+    states = [9, 0, 2, 7, 9]  # seen and unseen rows, one repeated
+    rows = Q.q_values_batch(states)
+    assert rows.shape == (5, 3)
+    for s, row in zip(states, rows):
+        assert np.array_equal(row, Q.q_values(s))
+    assert Q.q_values_batch([]).shape == (0, 3)
+    assert len(Q) == 2  # reading unseen rows creates none
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +220,6 @@ def test_train_config_validation():
         TrainConfig(episodes=10, alpha=0.0)
     with pytest.raises(ValueError):
         TrainConfig(episodes=10, eps_max=0.2, eps_min=0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(episodes=10, dtype="float16")
 
 
 # ---------------------------------------------------------------------------
