@@ -177,30 +177,22 @@ def combo_unrank_colex(r: int, k: int) -> list[int]:
     return combo[::-1]
 
 
-def _colex_next(combo: list[int]) -> None:
-    """Advance an ascending index list to its colex successor, in place."""
-    k = len(combo)
-    for i in range(k):
-        if i + 1 == k or combo[i] + 1 < combo[i + 1]:
-            combo[i] += 1
-            for jj in range(i):
-                combo[jj] = jj
-            return
-
-
 def patterns_colex(n: int, w: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the weight-w colex pattern enumeration, (B, n)."""
+    """Rows start..stop-1 of the weight-w colex pattern enumeration, (B, n).
+
+    Unranks all rows at once: for i = w..1 the i-th largest index is the
+    last c < n with C(c, i) <= rank.  Binomials are clipped at stop, so they
+    fit int64 whenever stop does; larger ranks take Python ints."""
     total = math.comb(n, w)
     if not 0 <= start <= stop <= total:
         raise ValueError("pattern range out of bounds")
+    rank = np.arange(start, stop, dtype=np.int64 if stop < 2**63 else object)
     X = np.zeros((stop - start, n), dtype=np.uint8)
-    if stop == start:
-        return X
-    combo = combo_unrank_colex(start, w)
-    for row in range(stop - start):
-        X[row, combo] = 1
-        if row + 1 < stop - start:
-            _colex_next(combo)
+    for i in range(w, 0, -1):
+        col = np.array([min(math.comb(c, i), stop) for c in range(n)], dtype=rank.dtype)
+        c = np.searchsorted(col, rank, side="right") - 1
+        X[np.arange(rank.size), c] = 1
+        rank = rank - col[c]
     return X
 
 

@@ -299,28 +299,35 @@ def bf_decode_batch(
     """Vectorized bit_flipping_decode over a (B, n) uint8 pattern matrix.
 
     Returns (flips, converged, iterations); row semantics identical to the
-    scalar routine.
+    scalar routine.  The live rows advance together, each word saved after
+    iterations 0, 1, 2, 4, 8 and 16 (Brent's cycle finding).  A word after
+    iteration t equal to the one saved after iteration s repeats with a
+    period dividing P = t - s on words with nonzero syndrome and flip set,
+    never converging or stalling, so its remaining iterations shrink mod P.
     """
     X = np.ascontiguousarray(patterns, dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != H.n:
         raise ValueError("patterns must be (B, n)")
-    flips = np.zeros_like(X)
-    iters = np.zeros(X.shape[0], dtype=np.int32)
-    active = np.arange(X.shape[0])
-    work = X.copy()
-    S = H.syndrome_batch(work)
-    for _ in range(cfg.max_iter):
-        unsat = S.astype(np.float32) @ H._HT.T
-        flip = (unsat >= cfg.tau).astype(np.uint8)
-        alive = (S.any(axis=1)) & (flip.any(axis=1))
-        if not alive.any():
-            break
-        active, flip = active[alive], flip[alive]
-        work[active] ^= flip
-        flips[active] ^= flip
-        iters[active] += 1
-        S = H.syndrome_batch(work[active])
-    converged = ~H.syndrome_batch(work).any(axis=1)
+    flips, converged = np.zeros_like(X), np.zeros(len(X), bool)
+    iters = np.zeros(len(X), dtype=np.int32)
+    # the live rows: index, word, syndrome, iterations left, word after s
+    row, W, S = np.arange(len(X)), X.copy(), H.syndrome_batch(X)
+    left, saved, s, t = np.full(len(X), cfg.max_iter), np.packbits(X, axis=1), 0, 0
+    while row.size:
+        flip = S.astype(np.float32) @ H._HT.T >= cfg.tau
+        done = (left == 0) | ~S.any(axis=1) | ~flip.any(axis=1)
+        if done.any():
+            r = row[done]
+            flips[r], converged[r] = W[done] ^ X[r], ~S[done].any(axis=1)
+            iters[r] = cfg.max_iter - left[done]
+            row, W, flip, left, saved = (v[~done] for v in (row, W, flip, left, saved))
+        W ^= flip
+        left, t = left - 1, t + 1
+        packed = np.packbits(W, axis=1)
+        left[(packed == saved).all(axis=1)] %= t - s
+        if t in (1, 2, 4, 8, 16):
+            saved, s = packed, t
+        S = H.syndrome_batch(W)
     return flips, converged, iters
 
 

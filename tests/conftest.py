@@ -115,3 +115,28 @@ def ensemble_reference(qsrc, y, H, cfg, shifts):
                     (True, flips, steps, score,
                      [int(inverse.mapping[a]) for a in actions]))
     return best[1] if best is not None else (False, 0, 0, None, None)
+
+
+def bf_batch_reference(patterns, H, cfg):
+    """Bit flipping over the rows of a (B, n) uint8 matrix, every iteration
+    run: each pass flips every bit with >= tau unsatisfied checks in the rows
+    that have a nonzero syndrome and a nonzero flip set, and stops when no
+    row has both or after max_iter passes.  (flips, converged, iterations)
+    as uint8, bool and int32 arrays."""
+    X = np.ascontiguousarray(patterns, dtype=np.uint8)
+    flips = np.zeros_like(X)
+    iters = np.zeros(X.shape[0], dtype=np.int32)
+    active = np.arange(X.shape[0])
+    work = X.copy()
+    S = H.syndrome_batch(work)
+    for _ in range(cfg.max_iter):
+        flip = (S.astype(np.float32) @ H._HT.T >= cfg.tau).astype(np.uint8)
+        alive = S.any(axis=1) & flip.any(axis=1)
+        if not alive.any():
+            break
+        active, flip = active[alive], flip[alive]
+        work[active] ^= flip
+        flips[active] ^= flip
+        iters[active] += 1
+        S = H.syndrome_batch(work[active])
+    return flips, ~H.syndrome_batch(work).any(axis=1), iters

@@ -179,6 +179,49 @@ def test_patterns_colex_slices_agree():
     assert np.array_equal(part, full[20:50])
 
 
+def _colex_walk(n, w, start, stop):
+    """patterns_colex one row at a time: unrank start, then step each index
+    list to its colex successor (bump the lowest index that can move, reset
+    those below it to 0, 1, ...)."""
+    X = np.zeros((stop - start, n), dtype=np.uint8)
+    combo = combo_unrank_colex(start, w) if stop > start else []
+    for row in range(stop - start):
+        X[row, combo] = 1
+        i = next((i for i in range(w) if i + 1 == w or combo[i] + 1 < combo[i + 1]), 0)
+        combo[:i + 1] = [*range(i), combo[i] + 1] if w else []
+    return X
+
+
+def test_patterns_colex_matches_walk_on_small_codes():
+    for n in range(13):
+        for w in range(n + 1):
+            total = math.comb(n, w)
+            for start, stop in ((0, total), (total // 3, total - total // 4)):
+                got = patterns_colex(n, w, start, stop)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, _colex_walk(n, w, start, stop)), (n, w)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_patterns_colex_matches_walk_across_chunks(w):
+    # Tanner-length slices around the 8192-pattern chunk edges and the end
+    total = math.comb(155, w)
+    for edge in [e for e in (8192, 3 * 8192, 70 * 8192) if e < total] + [total]:
+        start, stop = max(edge - 150, 0), min(edge + 150, total)
+        assert np.array_equal(patterns_colex(155, w, start, stop),
+                              _colex_walk(155, w, start, stop)), (w, edge)
+
+
+def test_patterns_colex_ranks_past_int64():
+    total = math.comb(155, 40)
+    assert total > 2**64
+    for start in (2**63 - 40, 2**64 - 7, total // 2, total - 60):
+        stop = min(start + 60, total)
+        got = patterns_colex(155, 40, start, stop)
+        assert (got.sum(axis=1) == 40).all()
+        assert np.array_equal(got, _colex_walk(155, 40, start, stop)), start
+
+
 def test_patterns_colex_edges():
     assert patterns_colex(7, 0, 0, 1).tolist() == [[0] * 7]
     assert patterns_colex(7, 2, 5, 5).shape == (0, 7)

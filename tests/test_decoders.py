@@ -10,8 +10,8 @@ from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            automorphism_list_decode, bf_decode_batch,
                            bit_flipping_decode, feedback_decode, greedy_decode)
 from synq.neural import MlpNetwork
-from conftest import (ball_reference, beam_reference, ensemble_reference,
-                      rng_for_tests)
+from conftest import (ball_reference, beam_reference, bf_batch_reference,
+                      ensemble_reference, rng_for_tests)
 
 
 class StackedQ:
@@ -294,6 +294,39 @@ def test_bf_batch_matches_scalar(tanner):
         assert bits_to_int(flips[b]) == ref.flips
         assert bool(converged[b]) == ref.converged
         assert int(iters[b]) == ref.steps
+
+
+#: weight-3 Tanner errors on which bit flipping (tau 2) is trapped: 2-cycles
+#: first revisiting a word after 0, 1, 2, 3, 4, 5 and 15 iterations, and
+#: 4-cycles after 2, 3 and 4
+TRAPPED = [(0, 2, 12), (0, 1, 2), (0, 2, 5), (0, 1, 3), (0, 3, 10), (2, 5, 31),
+           (0, 2, 10), (0, 10, 12), (0, 7, 11), (0, 2, 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(trapped=st.lists(st.sampled_from(TRAPPED), max_size=len(TRAPPED)),
+       rows=st.integers(0, 24), rho=st.floats(0.0, 0.1), seed=st.integers(0, 2**16),
+       tau=st.integers(1, 3), max_iter=st.sampled_from((1, 2, 5, 9, 17, 30, 31, 40)))
+@example(trapped=TRAPPED, rows=0, rho=0.0, seed=0, tau=2, max_iter=17)
+@example(trapped=TRAPPED, rows=8, rho=0.05, seed=1, tau=2, max_iter=40)
+@example(trapped=TRAPPED[-1:], rows=0, rho=0.0, seed=0, tau=2, max_iter=9)
+@example(trapped=[], rows=0, rho=0.0, seed=0, tau=2, max_iter=30)
+def test_bf_batch_cycle_fast_forward(tanner, trapped, rows, rho, seed, tau, max_iter):
+    # rows that cycle finish early; every output must still be what the
+    # all-iterations batch loop and the scalar decoder give
+    X = np.zeros((len(trapped), tanner.n), dtype=np.uint8)
+    for b, support in enumerate(trapped):
+        X[b, list(support)] = 1
+    X = np.concatenate([X, (rng_for_tests(seed).random((rows, tanner.n)) < rho)
+                        .astype(np.uint8)])
+    cfg = BitFlipConfig(tau, max_iter)
+    got = bf_decode_batch(X, tanner, cfg)
+    for g, want in zip(got, bf_batch_reference(X, tanner, cfg)):
+        assert g.dtype == want.dtype and np.array_equal(g, want)
+    for b, row in enumerate(X):
+        ref = bit_flipping_decode(bits_to_int(row), tanner, cfg)
+        assert (bits_to_int(got[0][b]), bool(got[1][b]), int(got[2][b])) == (
+            ref.flips, ref.converged, ref.steps)
 
 
 def test_bf_batch_shape_validation(tanner):
