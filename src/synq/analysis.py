@@ -210,12 +210,21 @@ class FailureEnumeration:
 
 
 def _enum_chunk(H: ParityCheckMatrix, cfg: dec.BitFlipConfig,
-                task: tuple[int, int, int]) -> tuple[int, int]:
-    w, start, stop = task
-    X = patterns_colex(H.n, w, start, stop)
+                task: tuple[int, int, int, int, int]) -> tuple[int, int]:
+    """Summed weights L // c of failing, miscorrecting representatives start..stop-1."""
+    w, p, L, start, stop = task
+    parts, c = [], []
+    for top in range(p - 1, H.n, p):  # C(top, w - 1) patterns with top bit `top`
+        size, lo = math.comb(top, w - 1), math.comb(top, w)
+        a, b = max(start, 0), min(stop, size)
+        if a < b:
+            parts.append(patterns_colex(H.n, w, lo + a, lo + b))
+            c.append(parts[-1][:, top + 1 - p:top + 1].sum(axis=1))
+        start, stop = start - size, stop - size
+    X, weight = np.concatenate(parts), L // np.concatenate(c)
     flips, conv, _ = dec.bf_decode_batch(X, H, cfg)
-    fail = int((~conv).sum())
-    misc = int((conv & (flips != X).any(axis=1)).sum())
+    fail = int(weight[~conv].sum())
+    misc = int(weight[conv & (flips != X).any(axis=1)].sum())
     return fail, misc
 
 
@@ -242,9 +251,18 @@ def enumerate_failures(
     """Decode every error pattern of weight 1..w_max with the bit-flipping
     decoder and tally failures and miscorrections per weight.
 
-    Patterns are visited in colexicographic order in fixed chunks, so the
-    work splits over processes deterministically and a checkpoint file (JSON
-    with per-weight progress) lets an interrupted run resume.
+    Bit flipping commutes with the simultaneous cyclic shift of every block
+    of a quasi-cyclic code (`H.qc`, circulant size p; `automorphism.shift_pair`),
+    so one representative set per orbit is decoded: the patterns whose top
+    set bit M ends its block, colex ranks C(M, w)..C(M+1, w)-1.  One whose
+    top block holds c set bits stands for p/c patterns, whatever its orbit's
+    size: it adds L // c, L = lcm(1..min(w, p)), and the count is the sum
+    times p / L.  Without `H.qc`, p = 1: every pattern, the plain sweep a
+    decoder that does not commute with the shifts needs.  Representatives
+    go in fixed chunks, so the work splits over processes deterministically
+    and a checkpoint file (JSON with per-weight progress and sums; its
+    params name p > 1) lets an interrupted run resume.  `budget` caps the
+    patterns covered.
     """
     if not 0 <= w_max <= H.n:
         raise ValueError(f"w_max {w_max} outside 0..{H.n}")
@@ -254,6 +272,9 @@ def enumerate_failures(
         "code_hash": H.code_hash, "n": H.n, "tau": cfg.tau,
         "max_iter": cfg.max_iter, "w_max": w_max,
     }
+    p = H.qc.p if H.qc else 1
+    if p > 1:
+        params["shift_orbits"] = p
     state: dict = {"params": params, "weights": {}}
     if checkpoint is not None:
         try:
@@ -273,21 +294,22 @@ def enumerate_failures(
             with open(checkpoint, "w") as fh:
                 json.dump(state, fh)
 
+    fails, miscs = {}, {}
     with ordered_map(_enum_chunk, (H, cfg), workers, chunksize=4) as run:
         for w in range(1, w_max + 1):
             rec = state["weights"].setdefault(str(w), {"done": 0, "fail": 0, "misc": 0})
-            total = math.comb(H.n, w)
-            tasks = [
-                (w, start, min(start + chunk, total))
-                for start in range(rec["done"], total, chunk)
-            ]
+            L = math.lcm(*range(1, min(w, p) + 1))
+            total = sum(math.comb(top, w - 1) for top in range(p - 1, H.n, p))
+            tasks = [(w, p, L, start, min(start + chunk, total))
+                     for start in range(rec["done"], total, chunk)]
             for (fail, misc), task in zip(run(tasks), tasks):
                 rec["fail"] += fail
                 rec["misc"] += misc
-                rec["done"] = task[2]
+                rec["done"] = task[4]
                 dump()
-    fails = {w: state["weights"][str(w)]["fail"] for w in range(1, w_max + 1)}
-    miscs = {w: state["weights"][str(w)]["misc"] for w in range(1, w_max + 1)}
+            if rec["fail"] * p % L or rec["misc"] * p % L:
+                raise ValueError(f"weight-{w} sums are not whole orbits")
+            fails[w], miscs[w] = rec["fail"] * p // L, rec["misc"] * p // L
     totals = {w: math.comb(H.n, w) for w in range(1, w_max + 1)}
     return FailureEnumeration(
         WeightEnumerator(H.n, fails), WeightEnumerator(H.n, miscs), totals, params

@@ -110,9 +110,17 @@ def q_update(Q: QTable, s: int, a: int, r: float, s_next: int,
 class BallSampler:
     """Start syndromes from errors of weight uniform in 1..w, support uniform."""
 
+    #: u distinct support bits take prod_{i<u} n/(n-i) tries on average
+    MAX_TRIES = 1000
+
     def __init__(self, H: ParityCheckMatrix, w: int):
-        if not 1 <= w <= H.n:
-            raise ValueError("ball radius out of range")
+        limit, tries = 0, 1.0
+        while limit < H.n and tries * H.n / (H.n - limit) <= self.MAX_TRIES:
+            tries *= H.n / (H.n - limit)
+            limit += 1
+        if not 1 <= w <= limit:
+            raise ValueError(f"ball radius {w} outside 1..{limit}: larger radii take "
+                             f"over {self.MAX_TRIES} tries per draw on average")
         self.H = H
         self.w = w
 

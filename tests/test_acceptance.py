@@ -114,7 +114,6 @@ def test_05a_bf_enumerator_weight2_and_stability(tanner):
     assert parallel.miscorrections.counts == serial.miscorrections.counts
 
 
-@pytest.mark.long
 def test_05b_bf_enumerator_weight3(tanner):
     enum = enumerate_failures(tanner, BitFlipConfig(tau=2, max_iter=30), w_max=3)
     assert enum.failures[3] == 154_225

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            error_floor_estimate, feedback_guarantee,
                            greedy_ball_sweep, patterns_colex, syndrome_bounds,
                            write_enumeration_csv)
-from synq.codes import (ball_levels, ball_size, ball_syndrome_weights,
-                        bits_to_int, hamming_ball_syndromes, random_parity_check)
-from synq.decoders import (BitFlipConfig, ZeroQ, bit_flipping_decode,
-                           greedy_decode)
+from synq.codes import (ParityCheckMatrix, ball_levels, ball_size,
+                        ball_syndrome_weights, bits_to_int, hamming_ball_syndromes,
+                        random_parity_check)
+from synq.decoders import (BitFlipConfig, ZeroQ, bf_decode_batch,
+                           bit_flipping_decode, greedy_decode)
 from conftest import ball_reference, random_codes, rng_for_tests
 from test_decoders import OneHotQ
 
@@ -306,6 +308,110 @@ def test_enumeration_checkpoint_param_mismatch(hamming, tmp_path):
     ck.write_text(json.dumps({"params": {"w_max": 9}, "weights": {}}))
     with pytest.raises(ValueError):
         enumerate_failures(hamming, BitFlipConfig(), w_max=2, checkpoint=str(ck))
+
+
+def _plain_sweep(H, cfg, w_max, chunk=1 << 16):
+    """enumerate_failures without the orbit rule: decode every colex pattern
+    of weight 1..w_max; (failures, miscorrections) by weight."""
+    fails, miscs = {}, {}
+    for w in range(1, w_max + 1):
+        fails[w] = miscs[w] = 0
+        total = math.comb(H.n, w)
+        for start in range(0, total, chunk):
+            X = patterns_colex(H.n, w, start, min(start + chunk, total))
+            flips, conv, _ = bf_decode_batch(X, H, cfg)
+            fails[w] += int((~conv).sum())
+            miscs[w] += int((conv & (flips != X).any(axis=1)).sum())
+    return fails, miscs
+
+
+def _counts(enum):
+    return enum.failures.counts, enum.miscorrections.counts
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("tau", [1, 2])
+def test_orbit_sweep_matches_plain_sweep_at_every_weight(small_qc, tau):
+    # weights 7, 14 and 21 include orbits smaller than p = 7 (whole blocks)
+    cfg = BitFlipConfig(tau=tau, max_iter=30)
+    assert _counts(enumerate_failures(small_qc, cfg, w_max=21)) == \
+        _plain_sweep(small_qc, cfg, 21)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_sweep_chunks_cross_block_ranges(small_qc, workers):
+    cfg = BitFlipConfig(tau=1, max_iter=30)
+    enum = enumerate_failures(small_qc, cfg, w_max=4, chunk=5, workers=workers)
+    assert _counts(enum) == _plain_sweep(small_qc, cfg, 4)
+    assert enum.totals == {w: math.comb(21, w) for w in range(1, 5)}
+
+
+def _circulant_code(p, j, k_blocks, seed):
+    """A random (j x k_blocks)-block matrix of p x p circulants: invariant
+    under the simultaneous cyclic shift of every block."""
+    rng = rng_for_tests(seed)
+    first = rng.integers(0, 2, size=(j, k_blocks, p), dtype=np.uint8)
+    rows = [np.hstack([np.stack([np.roll(c, i) for i in range(p)]) for c in block_row])
+            for block_row in first]
+    # enumerate_failures reads only the circulant size from H.qc, so p need
+    # not be a prime that QcLdpcSpec accepts
+    return ParityCheckMatrix(np.vstack(rows), qc=SimpleNamespace(p=p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16),
+       st.integers(1, 3), st.integers(1, 9))
+def test_orbit_sweep_matches_plain_sweep_on_random_circulant_codes(p, j, k_blocks, seed,
+                                                                   tau, chunk):
+    H = _circulant_code(p, j, min(k_blocks, 12 // p), seed)
+    cfg = BitFlipConfig(tau=tau, max_iter=30)
+    enum = enumerate_failures(H, cfg, w_max=H.n, chunk=chunk)
+    assert _counts(enum) == _plain_sweep(H, cfg, H.n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_codes, st.integers(1, 3), st.integers(1, 40))
+def test_plain_codes_sweep_every_pattern(H, tau, chunk):
+    cfg = BitFlipConfig(tau=tau, max_iter=30)
+    w_max = min(H.n, 3)
+    enum = enumerate_failures(H, cfg, w_max=w_max, chunk=chunk)
+    assert _counts(enum) == _plain_sweep(H, cfg, w_max)
+    assert "shift_orbits" not in enum.params
+
+
+def test_orbit_checkpoint_resume(small_qc, tmp_path, monkeypatch):
+    import synq.analysis as an
+
+    class Stop(Exception):
+        pass
+
+    cfg = BitFlipConfig(tau=1, max_iter=30)
+    fresh = enumerate_failures(small_qc, cfg, w_max=3)
+    real, calls = an._enum_chunk, []
+
+    def stop_at_the_fourth_chunk(*args):
+        if len(calls) == 3:
+            raise Stop
+        calls.append(args)
+        return real(*args)
+
+    ck = tmp_path / "enum.json"
+    monkeypatch.setattr(an, "_enum_chunk", stop_at_the_fourth_chunk)
+    with pytest.raises(Stop):
+        enumerate_failures(small_qc, cfg, w_max=3, chunk=40, checkpoint=str(ck))
+    monkeypatch.undo()
+    half = json.loads(ck.read_text())
+    # 3, 39 and 283 representatives of weight 1, 2, 3: one chunk each for
+    # weights 1 and 2, then the first of weight 3
+    assert half["params"]["shift_orbits"] == 7
+    assert {w: rec["done"] for w, rec in half["weights"].items()} == \
+        {"1": 3, "2": 39, "3": 40}
+    for workers in (1, 2):
+        ck.write_text(json.dumps(half))
+        resumed = enumerate_failures(small_qc, cfg, w_max=3, chunk=40,
+                                     workers=workers, checkpoint=str(ck))
+        assert _counts(resumed) == _counts(fresh)
+        assert json.loads(ck.read_text())["weights"]["3"]["done"] == 283
 
 
 def test_write_enumeration_csv(hamming, tmp_path):

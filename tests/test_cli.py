@@ -83,6 +83,15 @@ def test_config_field_of_the_wrong_type_is_a_usage_error(tmp_path, monkeypatch,
 # ---------------------------------------------------------------------------
 
 
+def test_train_q_oversized_ball_radius_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.qtab"
+    assert main(["train-q", "--variant", "basic", "--w", "155", "--episodes", "10",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "radius" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 def test_train_q_writes_model_and_sidecar(small_qtab):
     Q = load_qtable(str(small_qtab))
     assert len(Q) > 0
@@ -451,6 +460,20 @@ def test_enum_failures_malformed_checkpoint_is_a_usage_error(tmp_path, capsys,
     capsys.readouterr()
     assert main(args) == 2
     assert str(ck) in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_enum_failures_refuses_a_qc_checkpoint_of_the_plain_sweep(tmp_path, capsys):
+    ck = tmp_path / "enum.json"
+    args = ["enum-failures", *SMALL, "--tau", "1", "--w-max", "2", "--checkpoint", str(ck)]
+    assert main(args) == 0
+    state = json.loads(ck.read_text())
+    assert state["params"].pop("shift_orbits") == 7
+    ck.write_text(json.dumps(state))  # as the sweep over every pattern wrote it
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "belongs to another run" in json.loads(err)["error"]
 
 
 def test_count_orbits(capsys):

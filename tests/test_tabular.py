@@ -125,6 +125,16 @@ def test_ball_sampler_validation(hamming):
         BallSampler(hamming, 0)
 
 
+def test_ball_sampler_refuses_radii_whose_draws_rarely_succeed(hamming, tanner):
+    # 155^w / (155 * 154 * ... * (156 - w)) tries per draw: 872 at w = 44,
+    # 1,218 at w = 45
+    BallSampler(tanner, 44)
+    for w in (45, 155):
+        with pytest.raises(ValueError, match=r"outside 1\.\.44: .* 1000 tries"):
+            BallSampler(tanner, w)
+    BallSampler(hamming, 7)  # 7^7 / 7! = 163 tries
+
+
 def test_set_sampler():
     sampler = SetSampler({10, 4, 7})
     rng = rng_for_tests(9)
