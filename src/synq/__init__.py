@@ -7,7 +7,7 @@ training, decoding, enumeration, simulation -- is built on that convention.
 Modules
 -------
 codes         parity-check matrices, quasi-cyclic construction, alist I/O
-channel       keyed per-frame binary symmetric channel sampling
+channel       binary symmetric channel; frame i depends only on (seed, i)
 mdp           the syndrome-decoding decision process and reward variants
 tabular       Q-learning on sparse syndrome tables, the QTAB payload
 neural        from-scratch MLP Q-network, DQN training, the QNET payload
@@ -19,7 +19,7 @@ sim           Monte Carlo FER/BER harness with reproducible parallelism
 cli           the ``synq`` command-line front end
 """
 
-from .channel import BscConfig, frame_rng, sample_error, sample_error_bits
+from .channel import BscConfig, sample_error, sample_error_bits
 from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_size,
                     ball_syndrome_weights, bits_to_int, build_qc_ldpc,
                     hamming_ball_syndromes, int_to_bits, load_alist,
@@ -36,7 +36,7 @@ from .tabular import (QTable, TrainConfig, load_qtable, save_qtable, train_q)
 __version__ = "0.1.0"
 
 __all__ = [
-    "BscConfig", "frame_rng", "sample_error", "sample_error_bits",
+    "BscConfig", "sample_error", "sample_error_bits",
     "TANNER_SPEC", "ParityCheckMatrix", "QcLdpcSpec",
     "ball_size", "ball_syndrome_weights", "bits_to_int", "build_qc_ldpc",
     "hamming_ball_syndromes", "int_to_bits", "load_alist",

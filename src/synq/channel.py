@@ -1,13 +1,19 @@
-"""Binary symmetric channel with counter-based per-frame random streams.
+"""Binary symmetric channel with a counter-based random stream.
 
-Frame i of a run draws from Philox keyed by (seed, i), so any subset of
-frames can be generated in any order -- serial and parallel simulation see
-identical noise.  The all-zero codeword is transmitted throughout, so the
-received word equals the error pattern.
+One Philox4x64 generator, keyed (seed mod 2^64, STREAM_TAG), serves every
+frame of a run.  With c = ceil(n / 4), frame i owns the counter blocks
+i*c + 1 .. (i+1)*c: the 4c 64-bit words that follow `advance(i * c)`.  Bit
+j of the frame is set when word j, read as a double the way
+`Generator.random` reads it, is below rho.  So frames lo..hi-1 are one
+advance and one draw, and frame i depends only on (seed, i): any subset of
+frames can be generated in any order, and serial and parallel simulation
+see identical noise.  The all-zero codeword is transmitted throughout, so
+the received word equals the error pattern.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +21,7 @@ import numpy as np
 from .codes import bits_to_int
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+STREAM_TAG = 0xB5C  # second key word; no other generator in the package uses it
 
 
 @dataclass(frozen=True)
@@ -27,36 +34,20 @@ class BscConfig:
             raise ValueError(f"crossover probability {self.rho} outside [0, 1]")
 
 
-def frame_rng(seed: int, stream_index: int) -> np.random.Generator:
-    """Independent generator for one frame, keyed (seed, stream_index).
-
-    The reference definition of the channel streams: `sample_errors` draws
-    the same numbers without building a generator per frame.
-    """
-    key = np.array([seed & _MASK64, stream_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_errors(cfg: BscConfig, n: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, n) uint8 error patterns; row r is frame lo + r.
 
-    Row r equals `frame_rng(cfg.seed, lo + r).random(n) < cfg.rho`: one
-    Philox generator is re-keyed per frame, with its counter and buffer
-    reset as a fresh generator has them.
+    A word x reads as the double (x >> 11) * 2^-53, which is below rho
+    exactly when x < ceil(rho * 2^53) * 2^11, so the words are compared as
+    integers.  That threshold is 2^64 at rho = 1, where every bit is set.
     """
-    bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
-    key = np.zeros(2, dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key[0] = cfg.seed & _MASK64
-    U = np.empty((hi - lo, n))
-    for row, i in zip(U, range(lo, hi)):
-        key[1] = i & _MASK64
-        bitgen.state = state  # the setter copies the arrays
-        gen.random(out=row)
-    return (U < cfg.rho).view(np.uint8)
+    if cfg.rho == 1.0:
+        return np.ones((hi - lo, n), np.uint8)
+    blocks = -(-n // 4)
+    bitgen = np.random.Philox(key=np.array([cfg.seed & _MASK64, STREAM_TAG], np.uint64))
+    bitgen.advance(lo * blocks)
+    words = bitgen.random_raw((hi - lo, 4 * blocks))[:, :n]
+    return (words < np.uint64(math.ceil(cfg.rho * 2.0**53) << 11)).view(np.uint8)
 
 
 def sample_error_bits(cfg: BscConfig, n: int, stream_index: int) -> np.ndarray:

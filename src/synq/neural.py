@@ -109,10 +109,14 @@ class MlpNetwork:
         return self.forward(int_to_bits(s, self.m).astype(np.float64))
 
     def q_values_batch(self, states: list[int]) -> np.ndarray:
-        """Row i is q_values(states[i]) bit for bit, whatever the batch."""
-        X = ints_to_bits(states, self.m).astype(np.float64)[:, :, None]
+        """Row i is q_values(states[i]) bit for bit, whatever the batch;
+        each distinct state goes through the stacked product once."""
+        index: dict[int, int] = {}
+        inverse = [index.setdefault(s, len(index)) for s in states]
+        X = ints_to_bits(list(index), self.m).astype(np.float64)[:, :, None]
         h = np.maximum(np.matmul(self.W1, X)[:, :, 0] + self.b1, 0.0)
-        return np.matmul(self.W2, h[:, :, None])[:, :, 0] + self.b2
+        rows = np.matmul(self.W2, h[:, :, None])[:, :, 0] + self.b2
+        return rows[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ converged, steps)` over a (B, n) uint8 error matrix, usually a
 `decoders.Decoder`.  `GreedyDecoder` ... `AutomorphismDecoder` build one per
 kind; greedy and feedback keep the default of at most 10 policy steps.
 
-Frames are processed in fixed-size batches; frame i always draws from the
-(seed, i) channel stream, and a run stops after the first whole batch at
-which the cumulative frame-error target is met (or at max_frames).  Which
-frames get counted therefore depends only on the configuration, never on
-worker count or timing, so serial and parallel runs produce identical
-counts.  A batch is drawn and decoded in slices of at most `SLICE` frames,
+Frames are processed in fixed-size batches; the noise of frame i depends
+only on (seed, i) (see `channel`), and a run stops after the first whole
+batch at which the cumulative frame-error target is met (or at
+max_frames).  Which frames get counted therefore depends only on the
+configuration, never on worker count or timing, so serial and parallel
+runs produce identical counts.  A batch is drawn and decoded in slices of at most `SLICE` frames,
 so memory does not grow with the batch size.
 
 A frame is in error when the decoder fails to converge or converges on a
@@ -140,10 +140,14 @@ def _run_range(decoder, n: int, bsc: BscConfig,
     return fe, be
 
 
-def _normal_ci(errors: int, frames: int) -> tuple[float, float]:
-    p = errors / frames
-    half = 1.96 * math.sqrt(p * (1.0 - p) / frames)
-    return max(0.0, p - half), min(1.0, p + half)
+def _wilson_ci(errors: int, frames: int) -> tuple[float, float]:
+    """95% Wilson score interval of the frame-error rate; at zero errors it
+    is [0, z^2 / (frames + z^2)], not the Wald interval's [0, 0]."""
+    z = 1.96
+    z2 = z * z
+    centre = (errors + z2 / 2) / (frames + z2)
+    half = z * math.sqrt(errors * (frames - errors) / frames + z2 / 4) / (frames + z2)
+    return max(0.0, centre - half), min(1.0, centre + half)
 
 
 def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
@@ -167,7 +171,7 @@ def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
                 break  # dropping the map cancels the batches still queued
     fer = fe / frames
     ber = be / (frames * n)
-    lo, hi = _normal_ci(fe, frames)
+    lo, hi = _wilson_ci(fe, frames)
     return SimPoint(rho, frames, fe, be, fer, ber, lo, hi)
 
 

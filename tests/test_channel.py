@@ -3,9 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.channel import (BscConfig, frame_rng, sample_error,
+from synq.channel import (STREAM_TAG, BscConfig, sample_error,
                           sample_error_bits, sample_errors)
 from synq.codes import bits_to_int
+from synq.sim import SLICE
+
+
+def reference_frame(seed: int, i: int, n: int) -> np.ndarray:
+    """Frame i by the stream's definition: Philox keyed (seed, STREAM_TAG),
+    advanced past the ceil(n/4) counter blocks of each earlier frame, then
+    the first n of its 4 ceil(n/4) doubles compared with rho (by the caller)."""
+    blocks = -(-n // 4)
+    bitgen = np.random.Philox(key=np.array([seed % 2**64, STREAM_TAG], np.uint64))
+    bitgen.advance(i * blocks)
+    return np.random.Generator(bitgen).random(4 * blocks)[:n]
 
 
 def test_same_key_same_noise():
@@ -62,10 +73,19 @@ def test_rho_validation():
         BscConfig(rho=1.5)
 
 
-def test_frame_rng_handles_wide_indices():
-    # indices above 2^64 wrap into the key without error
-    g = frame_rng(seed=0, stream_index=(1 << 70) + 3)
-    assert g.random() == frame_rng(0, 3 | (1 << 70)).random()
+def test_wide_indices_do_not_alias():
+    # the counter is 256 bits wide, so frames 2^64 apart are different
+    # draws (a key word taken mod 2^64 made them the same frame)
+    cfg = BscConfig(rho=0.5, seed=0)
+    a, b = (sample_errors(cfg, 155, i, i + 1)[0] for i in (3, 3 + 2**64))
+    assert not np.array_equal(a, b)
+    assert np.array_equal(b, reference_frame(0, 3 + 2**64, 155) < 0.5)
+
+
+def test_stream_tag_is_not_another_generators_key():
+    # train_q, MlpNetwork.init, train_dqn and random codes key Philox with
+    # (seed, tag) too; a shared tag would replay their numbers as noise
+    assert STREAM_TAG not in (0x7AB1E, 0x2E7, 0xD62, 0xC0DE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +98,35 @@ def test_sample_errors_rows_are_the_reference_streams(seed, lo, count, n, rho):
     E = sample_errors(cfg, n, lo, lo + count)
     assert E.shape == (count, n) and E.dtype == np.uint8
     for r in range(count):
-        want = (frame_rng(seed, lo + r).random(n) < rho).astype(np.uint8)
+        want = (reference_frame(seed, lo + r, n) < rho).astype(np.uint8)
         assert np.array_equal(E[r], want)
         assert np.array_equal(sample_error_bits(cfg, n, lo + r), want)
 
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from([1, 3, 155]),
+       a=st.integers(0, 3 * SLICE), b=st.integers(0, 3 * SLICE),
+       step=st.sampled_from([1, 7, SLICE - 1, SLICE, SLICE + 1]))
+def test_a_frame_does_not_depend_on_its_window(seed, n, a, b, step):
+    # frames drawn in one window, or in slices of any size that start
+    # anywhere (across sim.SLICE boundaries too), are the same rows
+    lo, hi = min(a, b), max(a, b)
+    cfg = BscConfig(0.5, seed)
+    whole = sample_errors(cfg, n, lo, hi)
+    sliced = [sample_errors(cfg, n, x, min(x + step, hi)) for x in range(lo, hi, step)]
+    assert np.array_equal(np.concatenate([whole[:0], *sliced]), whole)
+    for i in {lo, hi - 1, SLICE - 1, SLICE} & set(range(lo, hi)):
+        assert np.array_equal(whole[i - lo], sample_errors(cfg, n, i, i + 1)[0])
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-300, 0.003, 0.5, 1.0])
+def test_integer_threshold_is_random_below_rho_at_the_boundary(rho):
+    # sample_errors compares raw words with an integer threshold; setting
+    # the crossover to a word's own double value, or one ulp either side,
+    # must give the bit `random() < rho` gives on that word
+    n, frame = 155, 12
+    u = reference_frame(9, frame, n)
+    for j in (0, 77, 154):
+        for r in (rho, u[j], np.nextafter(u[j], 0.0), np.nextafter(u[j], 1.0)):
+            bits = sample_errors(BscConfig(float(r), 9), n, frame, frame + 1)[0]
+            assert np.array_equal(bits, (u < r).astype(np.uint8)), (j, r)

@@ -74,6 +74,28 @@ def test_q_values_batch_rows_are_q_values_bit_for_bit(hidden):
             assert np.array_equal(row, net.q_values(s)), (B, s)
 
 
+@pytest.mark.parametrize("hidden", [8, 128, 512])
+def test_q_values_batch_with_repeated_states_is_q_values(hidden):
+    net = MlpNetwork.init(93, hidden, 155, seed=hidden)
+    a, b = bits_to_ints(rng_for_tests(hidden).integers(0, 2, size=(2, 93)))
+    for states in ([a] * 9, [a, b] * 5, [b, a, a, 0, b, 0], []):
+        Q = net.q_values_batch(states)
+        assert Q.shape == (len(states), 155)
+        for s, row in zip(states, Q):
+            assert np.array_equal(row, net.q_values(s)), (hidden, s)
+
+
+def test_q_values_batch_computes_each_distinct_state_once(monkeypatch):
+    import synq.neural as neural
+    seen, unpack = [], neural.ints_to_bits
+    monkeypatch.setattr(neural, "ints_to_bits",
+                        lambda xs, length: seen.append(list(xs)) or unpack(xs, length))
+    net = MlpNetwork.init(8, 6, 3, seed=2)
+    Q = net.q_values_batch([5, 9, 5, 5, 0, 9])
+    assert seen == [[5, 9, 0]]
+    assert np.array_equal(Q[[0, 2, 3]], np.stack([Q[0]] * 3))
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         MlpNetwork(W1=np.zeros((4, 3)), b1=np.zeros(5), W2=np.zeros((2, 4)),

@@ -163,7 +163,8 @@ def test_oracle_decoder_measures_zero(hamming):
     pt = run_point(OracleDecoder(), 7, 0.1, SimConfig(max_frames=500, batch=100))
     assert pt.frames == 500 and pt.frame_errors == 0 and pt.bit_errors == 0
     assert pt.fer == 0.0 and pt.ber == 0.0
-    assert pt.ci_low == 0.0 and pt.ci_high == 0.0
+    # the Wilson interval at zero errors: [0, z^2 / (N + z^2)], z = 1.96
+    assert pt.ci_low == 0.0 and pt.ci_high == 1.96**2 / (500 + 1.96**2)
 
 
 def test_null_decoder_counts_raw_channel_errors(hamming):
@@ -226,8 +227,13 @@ def test_normal_ci_brackets_the_estimate(hamming):
     cfg = SimConfig(max_frames=2000, target_errors=10**9, batch=500, seed=9)
     pt = run_point(NullDecoder(hamming), 7, 0.1, cfg)
     assert 0.0 <= pt.ci_low <= pt.fer <= pt.ci_high <= 1.0
-    half = 1.96 * math.sqrt(pt.fer * (1 - pt.fer) / pt.frames)
-    assert pt.ci_high - pt.fer == pytest.approx(half, abs=1e-12)
+    # Wilson score interval: centre (p + z^2/2N) / (1 + z^2/N), half-width
+    # z sqrt(p(1-p)/N + z^2/4N^2) / (1 + z^2/N)
+    N, p, z = pt.frames, pt.fer, 1.96
+    centre = (p + z**2 / (2 * N)) / (1 + z**2 / N)
+    half = z * math.sqrt(p * (1 - p) / N + z**2 / (4 * N**2)) / (1 + z**2 / N)
+    assert pt.ci_high - centre == pytest.approx(half, abs=1e-12)
+    assert centre - pt.ci_low == pytest.approx(half, abs=1e-12)
 
 
 def test_run_curve_and_csv(hamming, tmp_path):
