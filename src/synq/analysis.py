@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import decoders as dec
 from .automorphism import burnside_count
@@ -33,28 +32,35 @@ from .sim import ordered_map
 # ---------------------------------------------------------------------------
 
 
+def _binomial_sum(n: int, u: np.ndarray, log_c: np.ndarray, rho: float) -> float:
+    """sum c_u rho^u (1-rho)^(n-u) over weights u from log c_u, 0 < rho < 1:
+    a log-sum-exp shifted by the largest log term, so none overflows."""
+    t = log_c + u * math.log(rho) + (n - u) * math.log1p(-rho)
+    top = t.max()
+    return math.exp(top) * float(np.exp(t - top).sum())
+
+
 def bdd_fer(n: int, w: int, rho: float) -> float:
     """Frame-error rate of an ideal radius-w bounded-distance decoder.
 
-    1 - sum_{i<=w} C(n,i) rho^i (1-rho)^(n-i), evaluated as the upper tail
-    in the log domain for numerical stability at small rho.
+    1 - sum_{i<=w} C(n,i) rho^i (1-rho)^(n-i).  Both tails are summed in
+    the log domain, and the upper one is returned if it is the smaller, else
+    1 minus the lower: small rates keep their precision, none exceeds 1.
     """
     if not 0 <= w <= n:
         raise ValueError("radius w outside [0, n]")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("crossover probability outside [0, 1]")
-    if rho == 0.0:
+    if rho == 0.0 or w == n:
         return 0.0
     if rho == 1.0:
-        return 1.0 if w < n else 0.0
-    i = np.arange(w + 1, n + 1)
-    if i.size == 0:
-        return 0.0
-    log_terms = (
-        gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-        + i * math.log(rho) + (n - i) * math.log1p(-rho)
-    )
-    return float(np.exp(logsumexp(log_terms)))
+        return 1.0
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    u = np.arange(n + 1)
+    log_c = log_fact[n] - log_fact - log_fact[::-1]
+    upper = _binomial_sum(n, u[w + 1:], log_c[w + 1:], rho)
+    lower = _binomial_sum(n, u[:w + 1], log_c[:w + 1], rho)
+    return upper if upper <= lower else 1.0 - lower
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,13 @@ def error_floor_estimate(E: WeightEnumerator, rho: float) -> FloorEstimate:
     """Union-style failure-probability estimate sum |E_i| rho^i (1-rho)^(n-i)."""
     if not 0.0 < rho < 1.0:
         raise ValueError("crossover probability must lie in (0, 1)")
-    full = sum(
-        c * rho**w * (1.0 - rho) ** (E.n - w) for w, c in E.counts.items() if c
-    )
     c_min = E.min_weight
     if math.isinf(c_min):
         return FloorEstimate(0.0, 0.0, c_min, c_min, -math.inf)
-    dom = E.counts[c_min] * rho**c_min * (1.0 - rho) ** (E.n - c_min)
-    return FloorEstimate(full, dom, c_min, c_min, math.log10(E.counts[c_min]))
+    ws = [w for w, c in E.counts.items() if c]
+    full = _binomial_sum(E.n, np.array(ws), np.array([math.log(E[w]) for w in ws]), rho)
+    dom = _binomial_sum(E.n, np.array([c_min]), np.array([math.log(E[c_min])]), rho)
+    return FloorEstimate(full, dom, c_min, c_min, math.log10(E[c_min]))
 
 
 def count_optimal_policies(n: int, t: int) -> int:

@@ -5,16 +5,16 @@ is packed into a Python int whose bit i (``1 << i``) is component i, which is
 numpy's ``bitorder="little"`` over little-endian bytes.  XOR is vector
 addition over GF(2), ``int.bit_count()`` is the Hamming weight.  The
 syndrome of an error pattern e is the XOR of the parity-check columns
-selected by the set bits of e.  This module is the only place that converts:
+selected by the set bits of e.  This module holds the converters:
 `bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors,
-`ints_to_bits` from a list of packed ints to a 0/1 matrix, and
-`ParityCheckMatrix.syndrome_batch` from a (B, n) pattern matrix to its
-(B, m) syndromes; every other module calls them.
+`ints_to_bits` from packed ints to a 0/1 matrix, and
+`ParityCheckMatrix.syndrome_batch` from (B, n) patterns to (B, m)
+syndromes.  `analysis.classify_syndromes` unpacks its uint64 leaders itself.
 
-The Hamming ball of radius w is walked only by `ball_levels`: weight 0, 1,
-..., w in turn, the patterns of each weight in ``itertools.combinations``
-order.  Where several patterns share a syndrome, its representative is the
-first pattern of least weight in that order.
+`ball_levels` walks the radius-w Hamming ball weight by weight, each weight
+in ``itertools.combinations`` order; a syndrome's representative is the
+first pattern of least weight in that order.  `analysis.patterns_colex`
+walks one weight in colex rank order, for resumable sweeps.
 
 Quasi-cyclic constructions place a p x p circulant permutation block at
 block position (s, t), the identity cyclically shifted by b^s * a^t mod p,

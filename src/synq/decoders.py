@@ -94,17 +94,7 @@ def _q_chunks(qsrc, states: list[int]):
 def greedy_decode(qsrc, y: int, H: ParityCheckMatrix, max_steps: int = 10,
                   trace: list | None = None) -> DecodeResult:
     """Repeatedly flip the argmax-Q bit until zero syndrome or max_steps."""
-    s = H.syndrome(y)
-    flips = steps = 0
-    while s and steps < max_steps:
-        q = qsrc.q_values(s)
-        a = int(np.argmax(q))
-        if trace is not None:
-            trace.append((s, a, float(q[a])))
-        flips ^= 1 << a
-        s ^= H.cols_int[a]
-        steps += 1
-    return DecodeResult(s == 0, flips, s, steps)
+    return _policy_loop(None, qsrc, y, H, max_steps, trace)
 
 
 def feedback_decode(phi, qsrc, y: int, H: ParityCheckMatrix, max_outer: int = 10,
@@ -114,19 +104,25 @@ def feedback_decode(phi, qsrc, y: int, H: ParityCheckMatrix, max_outer: int = 10
     phi is a callable (word) -> DecodeResult.  The policy sees the syndrome
     of phi's current input.  At most max_outer invocations of phi.
     """
-    x_in, s_in, outer = y, H.syndrome(y), 0
-    while s_in and outer < max_outer:
-        inner = phi(x_in)
-        outer += 1
-        if inner.converged:
-            return DecodeResult(True, y ^ x_in ^ inner.flips, 0, outer)
-        q = qsrc.q_values(s_in)
+    return _policy_loop(phi, qsrc, y, H, max_outer, trace)
+
+
+def _policy_loop(phi, qsrc, y: int, H: ParityCheckMatrix, max_steps: int,
+                 trace: list | None) -> DecodeResult:
+    """Each pass adds a step, ends the decode if phi (when given) corrects y
+    plus the policy flips so far, and otherwise flips the argmax-Q bit."""
+    x, s, steps = y, H.syndrome(y), 0
+    while s and steps < max_steps:
+        steps += 1
+        if phi is not None and (inner := phi(x)).converged:
+            return DecodeResult(True, y ^ x ^ inner.flips, 0, steps)
+        q = qsrc.q_values(s)
         a = int(np.argmax(q))
         if trace is not None:
-            trace.append((s_in, a, float(q[a])))
-        x_in ^= 1 << a
-        s_in ^= H.cols_int[a]
-    return DecodeResult(s_in == 0, y ^ x_in, s_in, outer)
+            trace.append((s, a, float(q[a])))
+        x ^= 1 << a
+        s ^= H.cols_int[a]
+    return DecodeResult(s == 0, y ^ x, s, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,11 @@ def rollout(env: SyndromeMdp, s0: int,
         s = s2
 
 
+def epsilon_at(t: int, eps_max: float, eps_min: float, episodes: int) -> float:
+    """Linear decay from eps_max at t=0, clamped below at eps_min."""
+    return max(eps_min, eps_max - (eps_max - eps_min) * t / episodes)
+
+
 def epsilon_greedy(rng, eps: float, n: int,
                    greedy: Callable[[int], int]) -> Callable[[int], int]:
     """With probability eps a uniform action, else greedy(s); each call draws

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import modelfile
 from .codes import int_to_bits, ints_to_bits
-from .mdp import Step, SyndromeMdp, epsilon_greedy, rollout
-from .tabular import epsilon_at
+from .mdp import Step, SyndromeMdp, epsilon_at, epsilon_greedy, rollout
 
 
 # ---------------------------------------------------------------------------

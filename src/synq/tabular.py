@@ -25,7 +25,7 @@ import numpy as np
 
 from . import modelfile
 from .codes import ParityCheckMatrix
-from .mdp import SyndromeMdp, epsilon_greedy, rollout
+from .mdp import SyndromeMdp, epsilon_at, epsilon_greedy, rollout
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,6 @@ class TrainConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
-
-
-def epsilon_at(t: int, eps_max: float, eps_min: float, episodes: int) -> float:
-    """Linear decay from eps_max at t=0, clamped below at eps_min."""
-    return max(eps_min, eps_max - (eps_max - eps_min) * t / episodes)
 
 
 class QTable:

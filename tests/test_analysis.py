@@ -105,6 +105,56 @@ def test_error_floor_validation():
         error_floor_estimate(WeightEnumerator(5), 0.0)
 
 
+def _binomial_sum_exact(n, counts, rho):
+    r = Fraction(rho)
+    return sum(c * r**u * (1 - r) ** (n - u) for u, c in counts.items())
+
+
+def _within(got, exact):
+    # relative error 1e-12, or an underflow to below 1e-300 on both sides
+    return abs(got - exact) <= 1e-12 * exact + 1e-300
+
+
+_RHOS = st.one_of(st.floats(1e-12, 0.999), st.sampled_from([1e-12, 0.003, 0.5, 0.999]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 200), data=st.data(), rho=_RHOS)
+def test_bdd_fer_matches_exact_arithmetic(n, data, rho):
+    w = data.draw(st.integers(0, n))
+    exact = _binomial_sum_exact(n, {u: math.comb(n, u) for u in range(w + 1, n + 1)}, rho)
+    got = bdd_fer(n, w, rho)
+    assert _within(got, exact) and 0.0 <= got <= 1.0
+
+
+def test_bdd_fer_near_one_does_not_exceed_it():
+    # the rate is 1 minus the lower tail there, which is tiny
+    assert bdd_fer(155, 0, 0.5) == 1.0 - 0.5**155
+    assert bdd_fer(155, 1, 0.3) <= 1.0
+    assert bdd_fer(10**5, 500, 0.01) == 1.0  # 1 - P(Binomial <= 500), mean 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 200), data=st.data(), rho=_RHOS)
+def test_error_floor_estimate_matches_exact_arithmetic(n, data, rho):
+    weights = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=5, unique=True))
+    counts = {u: data.draw(st.integers(0, math.comb(n, u))) for u in weights}
+    est = error_floor_estimate(WeightEnumerator(n, counts), rho)
+    assert _within(est.full, _binomial_sum_exact(n, counts, rho))
+    present = {u: c for u, c in counts.items() if c}
+    if present:
+        u = min(present)
+        assert _within(est.dominant, _binomial_sum_exact(n, {u: present[u]}, rho))
+
+
+def test_error_floor_estimate_takes_counts_beyond_float_range():
+    # C(2000, 500) ~ 1e486; the term is the Binomial(2000, 1/4) mode, about
+    # 1 / sqrt(2 pi n rho (1 - rho))
+    est = error_floor_estimate(WeightEnumerator(2000, {500: math.comb(2000, 500)}), 0.25)
+    assert est.full == est.dominant == pytest.approx(0.0206, abs=5e-5)
+    assert est.intercept == pytest.approx(math.log10(math.comb(2000, 500)))
+
+
 def test_count_optimal_policies():
     assert count_optimal_policies(3, 0) == 1
     assert count_optimal_policies(3, 2) == 2**3

@@ -1,8 +1,13 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synq
 from synq.channel import (STREAM_TAG, BscConfig, sample_error,
                           sample_error_bits, sample_errors)
 from synq.codes import bits_to_int
@@ -82,10 +87,45 @@ def test_wide_indices_do_not_alias():
     assert np.array_equal(b, reference_frame(0, 3 + 2**64, 155) < 0.5)
 
 
+class _PhiloxKeys(ast.NodeVisitor):
+    """Every `Philox(key=np.array([seed, tag], ...))` call of one module,
+    as {"module.scope": tag}, the tag a literal or a module attribute."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.tags = module, [], {}
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) == "Philox":
+            site = ".".join([self.module.__name__.split(".")[-1], *self.scope])
+            key = [k.value for k in node.keywords if k.arg == "key"]
+            assert key and isinstance(key[0].args[0], ast.List), site
+            _, tag = key[0].args[0].elts
+            self.tags[site] = (getattr(self.module, tag.id) if isinstance(tag, ast.Name)
+                               else ast.literal_eval(tag))
+        self.generic_visit(node)
+
+
 def test_stream_tag_is_not_another_generators_key():
-    # train_q, MlpNetwork.init, train_dqn and random codes key Philox with
-    # (seed, tag) too; a shared tag would replay their numbers as noise
-    assert STREAM_TAG not in (0x7AB1E, 0x2E7, 0xD62, 0xC0DE)
+    # every generator in the package keys Philox with (seed, tag); a shared
+    # tag would replay one generator's numbers as another's, for example
+    # training draws as channel noise
+    tags = {}
+    for path in sorted(Path(synq.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"synq.{path.stem}".removesuffix(".__init__"))
+        visitor = _PhiloxKeys(module)
+        visitor.visit(ast.parse(path.read_text()))
+        tags.update(visitor.tags)
+    assert {"channel.sample_errors", "codes.random_parity_check", "tabular.train_q",
+            "neural.MlpNetwork.init", "neural.train_dqn"} <= tags.keys()
+    assert tags["channel.sample_errors"] == STREAM_TAG
+    assert len(set(tags.values())) == len(tags), tags
 
 
 @settings(max_examples=60, deadline=None)

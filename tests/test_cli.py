@@ -514,6 +514,14 @@ def test_floor_command(capsys):
     assert "slope=2" in out and "full=" in out
 
 
+def test_floor_takes_counts_beyond_float_range(capsys):
+    rc = main(["floor", "--n", "2000", "--counts", f"500:{math.comb(2000, 500)}",
+               "--rho", "0.25"])
+    assert rc == 0
+    full = float(capsys.readouterr().out.split()[0].removeprefix("full="))
+    assert full == pytest.approx(0.0206, abs=5e-5)
+
+
 @pytest.mark.parametrize("n, counts, needle", [
     ("155", "2:620,2:5", "weight 2 given twice"),
     ("10", "3:500", "500 patterns of weight 3"),
@@ -569,3 +577,14 @@ def test_module_entry_point():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the only runtime dependency
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, synq, synq.analysis, synq.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
