@@ -19,33 +19,33 @@ sim           Monte Carlo FER/BER harness with reproducible parallelism
 cli           the ``synq`` command-line front end
 """
 
-from .channel import BscConfig, sample_error, sample_error_bits
+from .channel import BscConfig, sample_error
 from .codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_size,
-                    ball_syndrome_weights, bits_to_int, build_qc_ldpc,
-                    hamming_ball_syndromes, int_to_bits, load_alist,
-                    random_parity_check, save_alist, support)
+                    bits_to_int, build_qc_ldpc, hamming_ball_syndromes,
+                    int_to_bits, load_alist, random_parity_check, save_alist,
+                    support)
 from .decoders import (BeamConfig, BitFlipConfig, CandidatePath, DecodeResult,
                        action_list_decode, automorphism_list_decode,
                        bf_decode_batch, bit_flipping_decode, feedback_decode,
                        greedy_decode)
 from .mdp import (VARIANTS, MdpConfig, SyndromeMdp, SyndromeSets, episode,
-                  finite_horizon_q, reward, transition)
+                  finite_horizon_q, transition)
 from .neural import DqnConfig, MlpNetwork, load_network, save_network, train_dqn
 from .tabular import (QTable, TrainConfig, load_qtable, save_qtable, train_q)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BscConfig", "sample_error", "sample_error_bits",
+    "BscConfig", "sample_error",
     "TANNER_SPEC", "ParityCheckMatrix", "QcLdpcSpec",
-    "ball_size", "ball_syndrome_weights", "bits_to_int", "build_qc_ldpc",
+    "ball_size", "bits_to_int", "build_qc_ldpc",
     "hamming_ball_syndromes", "int_to_bits", "load_alist",
     "random_parity_check", "save_alist", "support",
     "BeamConfig", "BitFlipConfig", "CandidatePath", "DecodeResult",
     "action_list_decode", "automorphism_list_decode", "bf_decode_batch",
     "bit_flipping_decode", "feedback_decode", "greedy_decode",
     "VARIANTS", "MdpConfig", "SyndromeMdp", "SyndromeSets", "episode",
-    "finite_horizon_q", "reward", "transition",
+    "finite_horizon_q", "transition",
     "DqnConfig", "MlpNetwork", "load_network", "save_network", "train_dqn",
     "QTable", "TrainConfig", "load_qtable", "save_qtable", "train_q",
     "__version__",

@@ -305,6 +305,9 @@ def enumerate_failures(
             rec = state["weights"].setdefault(str(w), {"done": 0, "fail": 0, "misc": 0})
             L = math.lcm(*range(1, min(w, p) + 1))
             total = sum(math.comb(top, w - 1) for top in range(p - 1, H.n, p))
+            if not 0 <= rec["done"] <= total:
+                raise ValueError(f"checkpoint {checkpoint}: weight {w} done "
+                                 f"{rec['done']} outside 0..{total}")
             tasks = [(w, p, L, start, min(start + chunk, total))
                      for start in range(rec["done"], total, chunk)]
             for (fail, misc), task in zip(run(tasks), tasks):
@@ -361,10 +364,6 @@ class SyndromeClassification:
         mask = self.status == status_code
         return int(self.leader_weight[mask].min()) if mask.any() else math.inf
 
-    @property
-    def covering_radius(self) -> int:
-        return int(self.leader_weight.max())
-
 
 def _leader_status(X: np.ndarray, H: ParityCheckMatrix, cfg: dec.BitFlipConfig):
     """Decode each minimum-weight leader row of X: 0 correct (a flip set as
@@ -382,15 +381,14 @@ def _status_sets(syndromes: np.ndarray, status: np.ndarray):
 def classify_syndromes(
     H: ParityCheckMatrix,
     cfg: dec.BitFlipConfig = dec.BitFlipConfig(),
-    max_m: int = 25,
 ) -> SyndromeClassification:
     """Exact decoder-region classification of every syndrome of a small code.
 
     Breadth-first search over the syndrome graph (edges = single-bit flips)
     yields a coset-leader weight and representative per syndrome; decoding
-    the representative fixes the class.  Needs m <= max_m and n <= 63.
+    the representative fixes the class.  Needs m <= 25 and n <= 63.
     """
-    if H.m > max_m:
+    if H.m > 25:
         raise ValueError(f"syndrome space 2^{H.m} too large for full classification")
     if H.n > 63:
         raise ValueError("leader patterns are stored as uint64; need n <= 63")

@@ -115,10 +115,6 @@ class GroupElement:
         b_pow = pow(self.b, s_inv, self.p)
         return GroupElement((-self.u * b_pow) % self.p, s_inv, self.p, self.j, self.b)
 
-    @classmethod
-    def identity(cls, p: int, j: int, b: int) -> "GroupElement":
-        return cls(0, 0, p, j, b)
-
     def check_perm(self) -> IndexPermutation:
         """Action on the j*p check beads: (c, i) -> (c+s, b^s i + u)."""
         return _necklace_perm(self.j, self.p, self.s, pow(self.b, self.s, self.p), self.u)
@@ -271,7 +267,7 @@ def canonical_representative(
         raise ValueError("coloring length must equal blocks*p")
     if (v > 1).any():
         raise ValueError("coloring entries must be 0/1")
-    if pow(mult, blocks, p) != 1:
+    if pow(mult, blocks, p) != 1 % p:
         raise ValueError("multiplier^blocks != 1 mod p")
     cosets, rot = _orbit_index(p, blocks, mult)
     orbit = v[cosets][:, rot].reshape(blocks * p, blocks * p)

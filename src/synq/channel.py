@@ -50,10 +50,6 @@ def sample_errors(cfg: BscConfig, n: int, lo: int, hi: int) -> np.ndarray:
     return (words < np.uint64(math.ceil(cfg.rho * 2.0**53) << 11)).view(np.uint8)
 
 
-def sample_error_bits(cfg: BscConfig, n: int, stream_index: int) -> np.ndarray:
-    return sample_errors(cfg, n, stream_index, stream_index + 1)[0]
-
-
 def sample_error(cfg: BscConfig, n: int, stream_index: int) -> int:
-    """Packed error pattern for one frame."""
-    return bits_to_int(sample_error_bits(cfg, n, stream_index))
+    """Packed error pattern for one frame: row 0 of `sample_errors`."""
+    return bits_to_int(sample_errors(cfg, n, stream_index, stream_index + 1)[0])

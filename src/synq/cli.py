@@ -179,7 +179,7 @@ def _train_env(args):
     env = SyndromeMdp(H, mdp_cfg, SyndromeSets(**sets))
     if env.start_states is not None:
         return cfg, env, tabular.SetSampler(env.start_states)
-    return cfg, env, tabular.BallSampler(H, mdp_cfg.w or 1)
+    return cfg, env, tabular.BallSampler(H, 1 if mdp_cfg.w is None else mdp_cfg.w)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ syndromes.  `analysis.classify_syndromes` unpacks its uint64 leaders itself.
 
 `ball_levels` walks the radius-w Hamming ball weight by weight, each weight
 in ``itertools.combinations`` order; a syndrome's representative is the
-first pattern of least weight in that order.  `analysis.patterns_colex`
+first pattern of least weight in that order, and `hamming_ball_syndromes`
+is the union of its syndromes, S(w).  `analysis.patterns_colex`
 walks one weight in colex rank order, for resumable sweeps.
 
 Quasi-cyclic constructions place a p x p circulant permutation block at
@@ -26,13 +27,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # packed bit vectors
@@ -259,23 +257,15 @@ def build_qc_ldpc(spec: QcLdpcSpec) -> ParityCheckMatrix:
     return ParityCheckMatrix(H, qc=spec)
 
 
-def random_parity_check(
-    n: int, m: int, seed: int, col_weight: int | None = None
-) -> ParityCheckMatrix:
+def random_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
     """Random m x n parity-check matrix (no distance guarantees).
 
-    With col_weight given, each column gets exactly that many ones at random
-    rows; otherwise entries are iid Bernoulli(1/2).  Zero rows/columns are
+    Entries are iid Bernoulli(1/2); a draw with a zero row or column is
     resampled.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0DE], np.uint64)))
     for _ in range(1000):
-        if col_weight is None:
-            H = (rng.random((m, n)) < 0.5).astype(np.uint8)
-        else:
-            H = np.zeros((m, n), dtype=np.uint8)
-            for i in range(n):
-                H[rng.choice(m, col_weight, replace=False), i] = 1
+        H = (rng.random((m, n)) < 0.5).astype(np.uint8)
         if (H.sum(axis=0) > 0).all() and (H.sum(axis=1) > 0).all():
             return ParityCheckMatrix(H)
     raise RuntimeError("failed to sample a matrix without zero rows/columns")
@@ -314,29 +304,11 @@ def ball_levels(H: ParityCheckMatrix, w: int, budget: int = 2_000_000):
         yield u, syn, pat
 
 
-def ball_syndrome_weights(
-    H: ParityCheckMatrix, w: int, budget: int = 2_000_000
-) -> dict[int, int]:
-    """Map syndrome -> smallest error weight <= w producing it, over every
-    error pattern of weight 0..w (`ball_levels`).  0 maps to weight 0."""
-    weights: dict[int, int] = {}
-    for u, syndromes, _ in ball_levels(H, w, budget):
-        for s in syndromes:
-            weights.setdefault(s, u)
-    total = ball_size(H.n, w)
-    if total > len(weights):
-        log.warning(
-            "syndrome ball w=%d: %d pattern collisions (%d patterns, %d syndromes)",
-            w, total - len(weights), total, len(weights),
-        )
-    return weights
-
-
 def hamming_ball_syndromes(
     H: ParityCheckMatrix, w: int, budget: int = 2_000_000
 ) -> frozenset[int]:
     """The set S(w) of syndromes reachable from error patterns of weight <= w."""
-    return frozenset(ball_syndrome_weights(H, w, budget))
+    return frozenset().union(*(syn for _, syn, _ in ball_levels(H, w, budget)))
 
 
 # ---------------------------------------------------------------------------

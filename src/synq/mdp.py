@@ -18,7 +18,7 @@ variants treat the outside of S(w) as one absorbing penalty sink and their
 state space stays S(w) instead of growing with every excursion the
 behaviour policy takes.  Where a variant draws its start states from a
 set, a syndrome outside that set and outside both reward sets cannot be
-scored: it ends the episode and `reward` raises.
+scored: it ends the episode and `SyndromeMdp.step` raises.
 """
 
 from __future__ import annotations
@@ -139,22 +139,6 @@ def transition(s: int, a: int, H: ParityCheckMatrix) -> int:
     return s ^ H.cols_int[a]
 
 
-def _scored(r: float | None) -> float:
-    if r is None:
-        raise ValueError("syndrome outside the classified sets")
-    return r
-
-
-def reward(cfg: MdpConfig, sets: SyndromeSets, s_next: int) -> float:
-    """Step reward for arriving at syndrome s_next."""
-    return _scored(_scorer(cfg, sets)(s_next)[0])
-
-
-def is_terminal(cfg: MdpConfig, sets: SyndromeSets, s: int) -> bool:
-    """Whether syndrome s ends an episode (success state or penalty sink)."""
-    return _scorer(cfg, sets)(s)[1]
-
-
 class Step(NamedTuple):
     s: int
     a: int
@@ -177,11 +161,15 @@ class SyndromeMdp:
         self.start_states = _need(sets, start) if start else None
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
+        """(s', reward for arriving at s', whether s' ends the episode)."""
         s2 = transition(s, a, self.H)
         r, terminal = self._score(s2)
-        return s2, _scored(r), terminal
+        if r is None:
+            raise ValueError("syndrome outside the classified sets")
+        return s2, r, terminal
 
     def is_terminal(self, s: int) -> bool:
+        """Whether syndrome s ends an episode (success state or penalty sink)."""
         return self._score(s)[1]
 
 

@@ -123,9 +123,6 @@ class MlpNetwork:
 # ---------------------------------------------------------------------------
 
 
-Transition = Step  # replay entries are the rollout's steps
-
-
 class ReplayBuffer:
     """Fixed-capacity ring; push overwrites the oldest entry when full."""
 
@@ -133,17 +130,17 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._items: list[Step] = []
         self._next = 0
 
-    def push(self, tr: Transition) -> None:
+    def push(self, tr: Step) -> None:
         if len(self._items) < self.capacity:
             self._items.append(tr)
         else:
             self._items[self._next] = tr
         self._next = (self._next + 1) % self.capacity
 
-    def sample(self, rng: np.random.Generator, k: int) -> list[Transition]:
+    def sample(self, rng: np.random.Generator, k: int) -> list[Step]:
         """k distinct items, uniform without replacement."""
         if k > len(self._items):
             raise ValueError("not enough items to sample")

@@ -85,9 +85,6 @@ class QTable:
     def __len__(self):
         return len(self._rows)
 
-    def __contains__(self, s: int):
-        return s in self._rows
-
 
 def q_update(Q: QTable, s: int, a: int, r: float, s_next: int,
              alpha: float, gamma: float) -> float:

@@ -14,9 +14,8 @@ from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            error_floor_estimate, feedback_guarantee,
                            greedy_ball_sweep, patterns_colex, syndrome_bounds,
                            write_enumeration_csv)
-from synq.codes import (ParityCheckMatrix, ball_levels, ball_size,
-                        ball_syndrome_weights, bits_to_int, hamming_ball_syndromes,
-                        random_parity_check)
+from synq.codes import (ParityCheckMatrix, ball_levels, ball_size, bits_to_int,
+                        hamming_ball_syndromes, random_parity_check)
 from synq.decoders import (BitFlipConfig, ZeroQ, bf_decode_batch,
                            bit_flipping_decode, greedy_decode)
 from conftest import ball_reference, random_codes, rng_for_tests
@@ -464,6 +463,20 @@ def test_orbit_checkpoint_resume(small_qc, tmp_path, monkeypatch):
         assert json.loads(ck.read_text())["weights"]["3"]["done"] == 283
 
 
+@pytest.mark.parametrize("done", [-1, 284, 10**6])
+def test_checkpoint_progress_outside_the_sweep_is_refused(small_qc, tmp_path, done):
+    # weight 3 has 283 representatives; progress past them must not resume
+    # as a finished weight with no failures
+    cfg = BitFlipConfig(tau=1, max_iter=30)
+    ck = tmp_path / "enum.json"
+    enumerate_failures(small_qc, cfg, w_max=3, checkpoint=str(ck))
+    state = json.loads(ck.read_text())
+    state["weights"]["3"] = {"done": done, "fail": 0, "misc": 0}
+    ck.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="enum.json"):
+        enumerate_failures(small_qc, cfg, w_max=3, checkpoint=str(ck))
+
+
 def test_write_enumeration_csv(hamming, tmp_path):
     enum = enumerate_failures(hamming, BitFlipConfig(tau=2), w_max=2)
     out = tmp_path / "enum.csv"
@@ -483,7 +496,7 @@ def test_write_enumeration_csv(hamming, tmp_path):
 
 def test_classify_hamming_by_hand(hamming):
     cls = classify_syndromes(hamming, BitFlipConfig(tau=2, max_iter=30))
-    assert cls.covering_radius == 1  # perfect code: every syndrome within 1
+    assert cls.leader_weight.max() == 1  # perfect code: every syndrome within 1
     correct, fail, misc = cls.status_sets()
     # weight-1 syndromes stall (no check pair agrees); the rest miscorrect
     assert correct == {0}
@@ -631,7 +644,7 @@ def test_ball_guards_raise_before_any_work(nw):
     # a radius outside [0, n] is refused even under a budget it would fit
     budget = ball_size(n, w) - 1 if 0 <= w <= n else 2**n
     for walk in (lambda H, w, budget: next(ball_levels(H, w, budget)),
-                 ball_syndrome_weights, hamming_ball_syndromes,
+                 hamming_ball_syndromes,
                  lambda H, w, budget: bounded_sets(H, w, budget=budget),
                  lambda H, w, budget: greedy_ball_sweep(ZeroQ(n), H, w,
                                                         budget=budget)):

@@ -110,7 +110,7 @@ def test_group_element_validation():
 
 
 def test_group_identity_and_inverse():
-    ident = GroupElement.identity(7, 3, 2)
+    ident = GroupElement(0, 0, 7, 3, 2)
     rng = rng_for_tests(32)
     for _ in range(20):
         g = GroupElement(int(rng.integers(7)), int(rng.integers(3)), 7, 3, 2)
@@ -269,6 +269,16 @@ def test_canonical_matches_brute_force_on_random_groups(group, data):
     got = canonical_representative(bits, p, blocks, mult)
     assert got.dtype == np.uint8
     assert np.array_equal(got, _orbit_min(bits, p, blocks, mult))
+
+
+@pytest.mark.parametrize("blocks", range(1, 7))
+def test_canonical_at_p_one_is_the_least_rotation(blocks):
+    # one bead per block: the orbit is every cyclic rotation of the vector
+    for x in range(1 << blocks):
+        bits = np.array([x >> i & 1 for i in range(blocks)], dtype=np.uint8)
+        want = min(tuple(np.roll(bits, r)) for r in range(blocks))
+        got = canonical_representative(bits, 1, blocks, 1)
+        assert tuple(got) == want
 
 
 def test_canonical_is_orbit_invariant():

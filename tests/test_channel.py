@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synq
-from synq.channel import (STREAM_TAG, BscConfig, sample_error,
-                          sample_error_bits, sample_errors)
+from synq.channel import STREAM_TAG, BscConfig, sample_error, sample_errors
 from synq.codes import bits_to_int
 from synq.sim import SLICE
 
@@ -26,8 +25,8 @@ def reference_frame(seed: int, i: int, n: int) -> np.ndarray:
 
 def test_same_key_same_noise():
     cfg = BscConfig(rho=0.1, seed=42)
-    a = sample_error_bits(cfg, 200, stream_index=7)
-    b = sample_error_bits(cfg, 200, stream_index=7)
+    a = sample_errors(cfg, 200, 7, 8)[0]
+    b = sample_errors(cfg, 200, 7, 8)[0]
     assert np.array_equal(a, b)
 
 
@@ -59,7 +58,7 @@ def test_degenerate_rates():
 def test_empirical_rate_near_rho():
     cfg = BscConfig(rho=0.03, seed=11)
     total = sum(
-        int(sample_error_bits(cfg, 155, i).sum()) for i in range(2000)
+        int(sample_errors(cfg, 155, i, i + 1)[0].sum()) for i in range(2000)
     )
     rate = total / (155 * 2000)
     assert abs(rate - 0.03) < 0.003  # ~17 sigma; deterministic given the seed
@@ -68,7 +67,8 @@ def test_empirical_rate_near_rho():
 def test_packed_matches_bits():
     cfg = BscConfig(rho=0.4, seed=5)
     for i in range(10):
-        assert sample_error(cfg, 90, i) == bits_to_int(sample_error_bits(cfg, 90, i))
+        bits = sample_errors(cfg, 90, i, i + 1)[0]
+        assert sample_error(cfg, 90, i) == bits_to_int(bits)
 
 
 def test_rho_validation():
@@ -140,7 +140,7 @@ def test_sample_errors_rows_are_the_reference_streams(seed, lo, count, n, rho):
     for r in range(count):
         want = (reference_frame(seed, lo + r, n) < rho).astype(np.uint8)
         assert np.array_equal(E[r], want)
-        assert np.array_equal(sample_error_bits(cfg, n, lo + r), want)
+        assert np.array_equal(sample_errors(cfg, n, lo + r, lo + r + 1)[0], want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,6 +92,17 @@ def test_train_q_oversized_ball_radius_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-q", "train-dqn"])
+def test_basic_variant_at_radius_zero_is_a_usage_error(tmp_path, capsys, command):
+    # radius 0 is refused, not trained at radius 1 under a sidecar saying w = 0
+    out = tmp_path / "x.model"
+    assert main([command, *SMALL, "--variant", "basic", "--w", "0",
+                 "--episodes", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "radius" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 def test_train_q_writes_model_and_sidecar(small_qtab):
     Q = load_qtable(str(small_qtab))
     assert len(Q) > 0
@@ -476,6 +487,19 @@ def test_enum_failures_refuses_a_qc_checkpoint_of_the_plain_sweep(tmp_path, caps
     assert "belongs to another run" in json.loads(err)["error"]
 
 
+def test_enum_failures_refuses_a_checkpoint_past_the_last_pattern(tmp_path, capsys):
+    ck = tmp_path / "enum.json"
+    args = ["enum-failures", *SMALL, "--tau", "1", "--w-max", "3", "--checkpoint", str(ck)]
+    assert main(args) == 0
+    state = json.loads(ck.read_text())
+    state["weights"]["3"] = {"done": 10**6, "fail": 0, "misc": 0}
+    ck.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(ck) in json.loads(err)["error"]
+
+
 def test_count_orbits(capsys):
     assert main(["count-orbits", "--j", "3", "--p", "7", "--b", "2"]) == 0
     assert capsys.readouterr().out.strip() == "99952"
@@ -496,6 +520,13 @@ def test_canonicalize(capsys):
     rc = main(["canonicalize", "--p", "3", "--blocks", "1", "--mult", "1",
                "--bits", "110"])
     assert rc == 0
+    assert capsys.readouterr().out.strip() == "011"
+
+
+def test_canonicalize_single_bead_blocks(capsys):
+    # p = 1: every multiplier is 1 mod p, and the orbit is the block rotations
+    assert main(["canonicalize", "--p", "1", "--blocks", "3", "--mult", "1",
+                 "--bits", "101"]) == 0
     assert capsys.readouterr().out.strip() == "011"
 
 
@@ -588,3 +619,11 @@ def test_importing_the_package_loads_no_scipy():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+
+
+def test_every_exported_name_resolves():
+    import synq
+    assert all(hasattr(synq, name) for name in synq.__all__)
+    namespace: dict = {}
+    exec("from synq import *", namespace)
+    assert set(synq.__all__) <= namespace.keys()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_levels,
-                        ball_size, ball_syndrome_weights, bits_to_int, build_qc_ldpc,
+                        ball_size, bits_to_int, build_qc_ldpc,
                         bits_to_ints, gf2_rank, hamming_ball_syndromes,
                         int_to_bits, ints_to_bits,
                         is_prime, load_alist, multiplicative_order,
@@ -237,11 +237,11 @@ def test_ball_size_formula():
 
 
 def test_ball_weights_on_perfect_code(hamming):
-    weights = ball_syndrome_weights(hamming, 1)
+    ball = hamming_ball_syndromes(hamming, 1)
     # perfect code: the 7 unit errors hit all nonzero syndromes exactly once
-    assert weights == {0: 0, **{i: 1 for i in range(1, 8)}}
-    # radius 2 adds no new syndromes, and minima stay at the leader weight
-    assert ball_syndrome_weights(hamming, 2) == weights
+    assert ball == set(range(8))
+    # radius 2 adds no new syndromes
+    assert hamming_ball_syndromes(hamming, 2) == ball
 
 
 def test_tanner_ball_counts_small(tanner):
@@ -251,10 +251,10 @@ def test_tanner_ball_counts_small(tanner):
 
 def test_ball_budget_guard(tanner):
     with pytest.raises(ValueError):
-        ball_syndrome_weights(tanner, 3, budget=1000)
+        hamming_ball_syndromes(tanner, 3, budget=1000)
     for w in (-1, tanner.n + 1):
         with pytest.raises(ValueError):
-            ball_syndrome_weights(tanner, w)
+            hamming_ball_syndromes(tanner, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,10 +265,7 @@ def test_ball_walk_matches_the_combinations_reference(hamming, small_qc, data):
     ref = ball_reference(H, w)
     walk = [(s, u, x) for u, syn, pat in ball_levels(H, w) for s, x in zip(syn, pat)]
     assert walk == ref
-    weights = {}
-    for s, u, _ in ref:
-        weights.setdefault(s, u)
-    assert list(ball_syndrome_weights(H, w).items()) == list(weights.items())
+    assert hamming_ball_syndromes(H, w) == {s for s, _, _ in ref}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,26 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from synq.codes import hamming_ball_syndromes
+from synq.codes import ParityCheckMatrix, hamming_ball_syndromes
 from synq.mdp import (EMPTY_SETS, VARIANTS, MdpConfig, SyndromeMdp,
-                      SyndromeSets, episode, finite_horizon_q, is_terminal,
-                      reward, transition)
+                      SyndromeSets, episode, finite_horizon_q, transition)
 from conftest import rng_for_tests
+
+# a 1x1 H: action 0 flips syndrome bit 0, so step(s ^ 1, 0) arrives at s
+ONE_BIT = ParityCheckMatrix(np.ones((1, 1), np.uint8))
+
+
+def reward(cfg: MdpConfig, sets: SyndromeSets, s_next: int) -> float:
+    """Step reward for arriving at syndrome s_next."""
+    return SyndromeMdp(ONE_BIT, cfg, sets).step(s_next ^ 1, 0)[1]
+
+
+def is_terminal(cfg: MdpConfig, sets: SyndromeSets, s: int) -> bool:
+    return SyndromeMdp(ONE_BIT, cfg, sets).is_terminal(s)
 
 
 # ---------------------------------------------------------------------------

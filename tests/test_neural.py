@@ -3,9 +3,9 @@ import pytest
 
 from synq.codes import bits_to_ints, hamming_ball_syndromes, int_to_bits
 from synq.decoders import greedy_decode
-from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets
+from synq.mdp import MdpConfig, Step, SyndromeMdp, SyndromeSets
 from synq.neural import (Adam, DqnConfig, MlpNetwork, ReplayBuffer, Sgd,
-                         Transition, dqn_loss, load_network,
+                         dqn_loss, load_network,
                          load_network_text, save_network, save_network_text,
                          train_dqn)
 from synq.tabular import BallSampler
@@ -114,7 +114,7 @@ def test_network_validation():
 
 
 def _tr(i):
-    return Transition(s=i, a=i % 3, r=float(i), s_next=i + 1, terminal=False)
+    return Step(s=i, a=i % 3, r=float(i), s_next=i + 1, terminal=False)
 
 
 def test_ring_overwrites_oldest():

@@ -36,7 +36,7 @@ def test_epsilon_midpoint_and_monotonicity():
 def test_reads_never_create_rows():
     Q = QTable(n=5, m=4)
     assert np.array_equal(Q.q_values(9), np.zeros(5))
-    assert len(Q) == 0 and 9 not in Q
+    assert len(Q) == 0 and 9 not in Q.states()
 
 
 def test_zero_row_is_immutable():
@@ -48,7 +48,7 @@ def test_zero_row_is_immutable():
 def test_row_creation_and_lookup():
     Q = QTable(n=3, m=4)
     Q.row(6)[1] = 2.5
-    assert 6 in Q and len(Q) == 1
+    assert 6 in Q.states() and len(Q) == 1
     assert Q.q_values(6).tolist() == [0.0, 2.5, 0.0]
     assert list(Q.states()) == [6]
 
@@ -93,7 +93,7 @@ def test_unseen_successor_reads_as_zero():
     Q = QTable(n=2, m=4)
     q_update(Q, 3, 0, 1.0, 12345, alpha=1.0, gamma=0.9)
     assert Q.q_values(3)[0] == pytest.approx(1.0)
-    assert 12345 not in Q
+    assert 12345 not in Q.states()
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_training_corrects_weight_one(hamming):
 def test_terminal_row_never_appears(hamming):
     Q = train_q(_hamming_env(hamming), TrainConfig(episodes=3000, seed=0),
                 BallSampler(hamming, 1))
-    assert 0 not in Q
+    assert 0 not in Q.states()
     assert np.array_equal(Q.q_values(0), np.zeros(7))
 
 
