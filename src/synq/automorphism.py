@@ -100,7 +100,7 @@ class GroupElement:
     def __post_init__(self):
         if not (0 <= self.u < self.p and 0 <= self.s < self.j):
             raise ValueError("element exponents out of range")
-        if pow(self.b, self.j, self.p) != 1:
+        if pow(self.b, self.j, self.p) != 1 % self.p:
             raise ValueError("b^j != 1 mod p")
 
     def compose(self, other: "GroupElement") -> "GroupElement":

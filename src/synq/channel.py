@@ -20,7 +20,6 @@ import numpy as np
 
 from .codes import bits_to_int
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 STREAM_TAG = 0xB5C  # second key word; no other generator in the package uses it
 
 
@@ -44,7 +43,7 @@ def sample_errors(cfg: BscConfig, n: int, lo: int, hi: int) -> np.ndarray:
     if cfg.rho == 1.0:
         return np.ones((hi - lo, n), np.uint8)
     blocks = -(-n // 4)
-    bitgen = np.random.Philox(key=np.array([cfg.seed & _MASK64, STREAM_TAG], np.uint64))
+    bitgen = np.random.Philox(key=np.array([cfg.seed % 2**64, STREAM_TAG], np.uint64))
     bitgen.advance(lo * blocks)
     words = bitgen.random_raw((hi - lo, 4 * blocks))[:, :n]
     return (words < np.uint64(math.ceil(cfg.rho * 2.0**53) << 11)).view(np.uint8)

@@ -263,7 +263,8 @@ def random_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
     Entries are iid Bernoulli(1/2); a draw with a zero row or column is
     resampled.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0DE], np.uint64)))
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed % 2**64, 0xC0DE], np.uint64)))
     for _ in range(1000):
         H = (rng.random((m, n)) < 0.5).astype(np.uint8)
         if (H.sum(axis=0) > 0).all() and (H.sum(axis=1) > 0).all():

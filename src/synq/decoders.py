@@ -3,7 +3,10 @@
 A Q-source gives the per-bit action values of a packed syndrome s as
 ``q_values(s)``, and of a list of syndromes as ``q_values_batch(states)``,
 whose row i equals ``q_values(states[i])`` bit for bit however many share
-the call, so no decode depends on how frames or shifts are batched.
+the call, so no decode depends on how frames or shifts are batched.  A
+table copies its stored rows; a network computes them in gemm blocks of a
+fixed 32 rows (`neural.BLOCK`), whose rows depend neither on their
+neighbours nor on the BLAS thread count.
 Decoders flip one code bit per action; the flip set is returned packed.
 `Decoder` runs any of the `KINDS` as one picklable callable, one packed word
 at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.

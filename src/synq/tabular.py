@@ -160,7 +160,7 @@ def train_q(
     """
     H, n = env.H, env.H.n
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, 0x7AB1E], np.uint64))
+        np.random.Philox(key=np.array([cfg.seed % 2**64, 0x7AB1E], np.uint64))
     )
     Q = QTable(n, H.m, meta={
         "code_hash": H.code_hash,

@@ -129,6 +129,22 @@ def test_group_product_matches_permutation_composition():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("j,b", [(3, 1), (3, 5), (4, 2)])
+def test_single_bead_group_composes_and_inverts(j, b):
+    # C_1 x| C_j is the cyclic group C_j: b^j = 0 = 1 mod 1 for any b, the
+    # check beads rotate by s and the variable beads stay fixed
+    ident = GroupElement(0, 0, 1, j, b)
+    for s in range(j):
+        g = GroupElement(0, s, 1, j, b)
+        assert g.compose(g.inverse()) == ident == g.inverse().compose(g)
+        assert g.check_perm() == IndexPermutation([(c + s) % j for c in range(j)])
+        assert g.variable_perm(3) == IndexPermutation(range(3))
+        for t in range(j):
+            h = GroupElement(0, t, 1, j, b)
+            assert g.compose(h) == GroupElement(0, (s + t) % j, 1, j, b)
+            assert g.compose(h).check_perm() == g.check_perm().compose(h.check_perm())
+
+
 def test_defining_relation():
     # rho sigma rho^-1 = sigma^b
     p, j, b = 7, 3, 2

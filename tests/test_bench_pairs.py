@@ -10,12 +10,37 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def record(side, seed, round_s, rate, correct=True):
-    return {"workload": "w", "side": side, "seed": seed, "order": seed % 2,
-            "env": "nproc=2", "returncode": 0,
-            "result": {"correct": correct, "failed": 0, "metrics": {
-                "round_s": {"value": round_s, "unit": "s"},
-                "rate": {"value": rate, "unit": "1/s"}}}}
+def record(side, seed, round_s, rate, correct=True, scale=None):
+    rec = {"workload": "w", "side": side, "seed": seed, "order": seed % 2,
+           "env": "nproc=2", "returncode": 0,
+           "result": {"correct": correct, "failed": 0, "metrics": {
+               "round_s": {"value": round_s, "unit": "s"},
+               "rate": {"value": rate, "unit": "1/s"}}}}
+    if scale is not None:
+        rec["raw"] = {"round_s": round_s / scale, "setup_s": None, "scale": scale}
+    return rec
+
+
+def test_raw_figures_read_the_printed_rounds_and_probe_factor():
+    lines = ["# nproc=2", "[w] round 1: 0.500 s  a=1.0", "[w] round 2: 0.700 s",
+             "[w] round 3: 0.600 s  a=2.0", "[w] setup median 1.2500 s of 3; ok",
+             "[w] speed probe: median kernel time 6.250 ms over 30 timings; "
+             "round_s and setup_s are the times above x 0.8000", "{}"]
+    assert bench_pairs.raw_figures(lines) == {"round_s": 0.6, "setup_s": 1.25,
+                                              "scale": 0.8}
+    assert bench_pairs.raw_figures(["{}"]) == {"round_s": None, "setup_s": None,
+                                               "scale": None}
+
+
+def test_summary_reports_raw_round_s_beside_the_scaled_one():
+    # the change's scaled rounds look 20% slower, but only because its probe
+    # factor is 20% larger: the raw rounds are equal
+    runs = [record("parent", s, 1.0, 1, scale=1.0) for s in (1, 2, 3)]
+    runs += [record("change", s, 1.2, 1, scale=1.2) for s in (1, 2, 3)]
+    summ = bench_pairs.summarize(runs, {"round_s": "lower", "setup_s": "lower"})["w"]
+    assert summ["round_s"]["relative_change"] == pytest.approx(0.2)
+    assert summ["raw_round_s"]["parent_median"] == summ["raw_round_s"]["change_median"] == 1.0
+    assert summ["raw_round_s"]["change_wins"] == 0 and "raw_setup_s" not in summ
 
 
 def test_summary_arithmetic_on_canned_records():
@@ -47,6 +72,9 @@ def test_pairs_alternate_and_extend_the_output(tmp_path):
             f"print('# nproc=1 side={side}')\n"
             "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
             "with open('../order.txt', 'a') as fh: fh.write(f'{seed}:" + side + "\\n')\n"
+            f"print('[w] round 1: {round_s / 2:.3f} s')\n"
+            "print('[w] speed probe: median kernel time 10.000 ms over 3 timings; "
+            "round_s and setup_s are the times above x 0.5000')\n"
             f"print(json.dumps({{'correct': True, 'failed': 0, 'metrics': "
             f"{{'round_s': {{'value': {round_s}, 'unit': 's'}}}}}}))\n")
     out = tmp_path / "BENCH.json"
@@ -58,5 +86,7 @@ def test_pairs_alternate_and_extend_the_output(tmp_path):
     doc = json.loads(out.read_text())
     assert [r["env"] for r in doc["runs"]][:2] == ["nproc=1 side=parent", "nproc=1 side=change"]
     assert doc["summary"]["w"]["round_s"]["change_wins"] == 2
+    assert doc["runs"][0]["raw"] == {"round_s": 1.0, "setup_s": None, "scale": 0.5}
+    assert doc["summary"]["w"]["raw_round_s"]["change_median"] == 0.5
     bench_pairs.main(argv + ["9"])
     assert json.loads(out.read_text())["summary"]["w"]["pairs"] == 4

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,27 @@ def test_train_dqn_writes_network(tmp_path, capsys):
     # the artifact loads back through decode
     rc = main(["decode", *SMALL, "--model", str(out), "--error", "3"])
     assert rc in (0, 1)
+
+
+@pytest.mark.parametrize("command,load,extra", [
+    ("train-q", load_qtable, ["--episodes", "300"]),
+    ("train-dqn", load_network, ["--episodes", "40", "--hidden", "8", "--batch", "8"]),
+])
+def test_negative_seed_trains_as_its_residue_mod_2_64(tmp_path, command, load, extra):
+    # seeds reduce mod 2^64 as the channel's do; -1 used to print an
+    # OverflowError as the usage error
+    models = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = tmp_path / f"{seed}.model"
+        assert main([command, *SMALL, "--variant", "truncated", "--w", "1", *extra,
+                     "--seed", seed, "--out", str(out)]) == 0
+        models.append(load(out))
+    a, b = models
+    if command == "train-q":
+        assert sorted(a.states()) == sorted(b.states())
+        assert all(np.array_equal(a.q_values(s), b.q_values(s)) for s in a.states())
+    else:
+        assert all(np.array_equal(a.params()[k], b.params()[k]) for k in a.params())
 
 
 # SHA-256 of the .qtab that `train-q` writes for each reward variant on the

@@ -316,3 +316,9 @@ def test_random_parity_check_deterministic():
     assert A == B
     assert A != C
     assert A.bits.shape == (6, 12)
+
+
+@pytest.mark.parametrize("seed,same_as", [(-1, 2**64 - 1), (2**64 + 3, 3)])
+def test_random_parity_check_takes_any_seed_mod_2_64(seed, same_as):
+    # the channel's seed rule: every Philox key is (seed mod 2^64, tag)
+    assert random_parity_check(12, 6, seed) == random_parity_check(12, 6, same_as)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synq.codes import bits_to_ints, hamming_ball_syndromes, int_to_bits
 from synq.decoders import greedy_decode
 from synq.mdp import MdpConfig, Step, SyndromeMdp, SyndromeSets
-from synq.neural import (Adam, DqnConfig, MlpNetwork, ReplayBuffer, Sgd,
+from synq.neural import (BLOCK, Adam, DqnConfig, MlpNetwork, ReplayBuffer, Sgd,
                          dqn_loss, load_network,
                          load_network_text, save_network, save_network_text,
                          train_dqn)
@@ -94,6 +101,63 @@ def test_q_values_batch_computes_each_distinct_state_once(monkeypatch):
     Q = net.q_values_batch([5, 9, 5, 5, 0, 9])
     assert seen == [[5, 9, 0]]
     assert np.array_equal(Q[[0, 2, 3]], np.stack([Q[0]] * 3))
+
+
+_NETS = {h: MlpNetwork.init(93, h, 155, seed=h) for h in (512, 128, 32, 8)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(hidden=st.sampled_from(sorted(_NETS)),
+       size=st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
+       extra=st.integers(0, 2 * BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_block_rows_do_not_depend_on_position_or_neighbours(hidden, size, extra, seed):
+    """Rows come from gemm blocks of a fixed BLOCK rows, so a row must be
+    q_values(s) bit for bit wherever it sits and whatever shares its block.
+
+    This holds for the OpenBLAS kernels tested here, not by arithmetic: a
+    gemm may sum a row in an order that depends on its place in the block.
+    If a BLAS build breaks it, the documented fallback is the stacked
+    matrix-vector product (one gemv per distinct row), which is invariant
+    by construction and about twice as slow per row."""
+    net, rng = _NETS[hidden], np.random.default_rng(seed)
+    states = bits_to_ints(rng.integers(0, 2, size=(size, 93)))
+    Q = net.q_values_batch(states)
+    for s, row in zip(states, Q):
+        assert np.array_equal(row, net.q_values(s)), (hidden, size, s)
+    # the same rows again, shuffled among `extra` random neighbours
+    mixed = states + bits_to_ints(rng.integers(0, 2, size=(extra, 93)))
+    order = rng.permutation(len(mixed))
+    again = net.q_values_batch([mixed[i] for i in order])
+    for pos, i in enumerate(order):
+        if i < size:
+            assert np.array_equal(again[pos], Q[i]), (hidden, size, pos)
+
+
+_DIGEST_SCRIPT = """
+import hashlib, numpy as np
+from synq.codes import bits_to_ints
+from synq.neural import BLOCK, MlpNetwork
+states = bits_to_ints(np.random.default_rng(5).integers(0, 2, size=(3 * BLOCK + 5, 93)))
+for h in (512, 128, 32):
+    net = MlpNetwork.init(93, h, 155, seed=h)
+    print(h, hashlib.sha256(net.q_values_batch(states).tobytes()).hexdigest())
+"""
+
+
+def test_block_rows_are_the_same_at_one_and_two_blas_threads():
+    """Network Q rows, and so every decode over a network, must not depend
+    on the OpenBLAS thread count (README, Reproducibility).  A fixed-shape
+    gemm block met this on the builds tested; the fallback, if a build
+    does not, is the stacked matrix-vector product."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] and len(digests[0].split()) == 6
 
 
 def test_network_validation():
@@ -236,6 +300,18 @@ def test_dqn_training_is_deterministic(hamming):
     b = train_dqn(env, cfg, BallSampler(hamming, 1))
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
+
+
+@pytest.mark.parametrize("seed,same_as", [(-1, 2**64 - 1), (2**64 + 3, 3)])
+def test_init_and_training_take_any_seed_mod_2_64(hamming, seed, same_as):
+    # the channel's seed rule: every Philox key is (seed mod 2^64, tag)
+    a, b = (MlpNetwork.init(5, 8, 4, seed=s) for s in (seed, same_as))
+    assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
+    env = _hamming_env(hamming)
+    a, b = (train_dqn(env, DqnConfig(episodes=40, hidden=8, batch=8, seed=s,
+                                     sync_every=20), BallSampler(hamming, 1))
+            for s in (seed, same_as))
+    assert all(np.array_equal(a.params()[k], b.params()[k]) for k in a.params())
 
 
 def test_dqn_learns_weight_one_toy(hamming):

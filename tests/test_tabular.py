@@ -167,6 +167,15 @@ def test_training_is_deterministic(hamming):
     assert any(not np.array_equal(A.q_values(s), C.q_values(s)) for s in A.states())
 
 
+@pytest.mark.parametrize("seed,same_as", [(-1, 2**64 - 1), (2**64 + 3, 3)])
+def test_training_takes_any_seed_mod_2_64(hamming, seed, same_as):
+    env = _hamming_env(hamming)
+    A, B = (train_q(env, TrainConfig(episodes=300, seed=s), BallSampler(hamming, 1))
+            for s in (seed, same_as))
+    assert sorted(A.states()) == sorted(B.states())
+    assert all(np.array_equal(A.q_values(s), B.q_values(s)) for s in A.states())
+
+
 def test_training_corrects_weight_one(hamming):
     Q = train_q(_hamming_env(hamming), TrainConfig(episodes=3000, seed=0),
                 BallSampler(hamming, 1))

@@ -7,10 +7,14 @@
 Pair j runs `python3 bench/run.py --workload W --seed S+j --seconds T
 --trace 0` once in each tree with the same seed; the side that runs first
 flips every pair (order 0: parent first).  A record keeps the run's final
-JSON line and the environment line it printed.  The output holds every
-record and, per workload and end-to-end metric, both sides' medians and
-inclusive-quartile IQRs, the change's relative median shift and the pairs
-in which the change was better (direction from BENCHMARK.json).
+JSON line and the environment line it printed, and under "raw" the
+unscaled figures it printed before the speed-probe correction: the median
+of its `round k: X s` lines, its set-up median and the probe's factor.  The
+output holds every record and, per workload and end-to-end metric, both
+sides' medians and inclusive-quartile IQRs, the change's relative median
+shift and the pairs in which the change was better (direction from
+BENCHMARK.json); `raw_round_s` and `raw_setup_s` are summarized the same
+way, so a shift that comes from the probe rather than the rounds shows.
 
 --workload may be repeated.  An existing --out file is extended, so a series
 can be built in several calls.  --traced-seconds T adds one `--trace 1` run
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -31,6 +36,22 @@ PROTOCOL = ("parent and change run alternately, each from its own copy of the "
             "first); both sides of a pair use the same seed. Each record is the "
             "final JSON line of one run; env is the environment line it "
             "printed. IQRs are between inclusive quartiles.")
+
+
+_ROUND = re.compile(r"^\[[^\]]+\] round \d+: ([0-9.]+) s")
+_SETUP = re.compile(r"^\[[^\]]+\] setup median ([0-9.]+) s")
+_SCALE = re.compile(r"^\[[^\]]+\] speed probe: .* x ([0-9.]+)$")
+
+
+def raw_figures(lines: list[str]) -> dict:
+    """Unscaled round and set-up medians and the speed-probe factor that a
+    run printed; None for a figure the run did not print."""
+    def grab(pattern):
+        return [float(m[1]) for m in map(pattern.match, lines) if m]
+    rounds, setup, scale = grab(_ROUND), grab(_SETUP), grab(_SCALE)
+    return {"round_s": statistics.median(rounds) if rounds else None,
+            "setup_s": setup[-1] if setup else None,
+            "scale": scale[-1] if scale else None}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -44,7 +65,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "error": proc.stderr.strip()[-2000:]}
-    return {"env": env, "returncode": proc.returncode, "result": result}
+    return {"env": env, "returncode": proc.returncode, "result": result,
+            "raw": raw_figures(lines)}
 
 
 def _iqr(xs: list[float]) -> float:
@@ -54,19 +76,31 @@ def _iqr(xs: list[float]) -> float:
     return q3 - q1
 
 
+def _value(rec: dict, metric: str) -> float | None:
+    """A record's figure: `raw_X` from its unscaled figures, anything else
+    from the metrics of its JSON line."""
+    if metric.startswith("raw_"):
+        return (rec.get("raw") or {}).get(metric[4:])
+    return rec["result"].get("metrics", {}).get(metric, {}).get("value")
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload: pairs, all_correct, and for each metric of `better`
     ("lower" or "higher") the medians, IQRs, relative median shift and the
-    pairs the change won.  A pair is the parent and change runs of one seed."""
+    pairs the change won.  A pair is the parent and change runs of one seed.
+    round_s and setup_s are also summarized unscaled, as raw_round_s and
+    raw_setup_s."""
     out = {}
+    metrics = {**better, **{f"raw_{k}": d for k, d in better.items()
+                            if k in ("round_s", "setup_s")}}
     for wl in dict.fromkeys(r["workload"] for r in runs):
-        sides = {(r["seed"], r["side"]): r["result"] for r in runs if r["workload"] == wl}
+        sides = {(r["seed"], r["side"]): r for r in runs if r["workload"] == wl}
         seeds = sorted(s for s, side in sides if side == "parent" and (s, "change") in sides)
         summ = {"pairs": len(seeds)}
-        for metric, direction in better.items():
-            got = [(sides[s, "parent"].get("metrics", {}).get(metric),
-                    sides[s, "change"].get("metrics", {}).get(metric)) for s in seeds]
-            got = [(p["value"], c["value"]) for p, c in got if p and c]
+        for metric, direction in metrics.items():
+            got = [(_value(sides[s, "parent"], metric), _value(sides[s, "change"], metric))
+                   for s in seeds]
+            got = [(p, c) for p, c in got if p is not None and c is not None]
             if not got:
                 continue
             par, chg = [p for p, _ in got], [c for _, c in got]
@@ -113,8 +147,9 @@ def main(argv=None) -> int:
                 rec = run_bench(trees[side], wl, seed, args.seconds, 0)
                 runs.append({"workload": wl, "side": side, "seed": seed,
                              "order": j % 2, **rec})
-                m = rec["result"].get("metrics", {}).get("round_s", {}).get("value")
-                print(f"{wl} seed {seed} {side}: round_s {m}", flush=True)
+                print(f"{wl} seed {seed} {side}: round_s {_value(rec, 'round_s')} "
+                      f"(raw {rec['raw']['round_s']} x scale {rec['raw']['scale']})",
+                      flush=True)
         if args.traced_seconds:
             traced[wl] = {"seed": args.seed, "seconds": args.traced_seconds}
             for side in ("parent", "change"):
