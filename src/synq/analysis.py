@@ -55,9 +55,17 @@ def bdd_fer(n: int, w: int, rho: float) -> float:
         return 0.0
     if rho == 1.0:
         return 1.0
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    # log C(n, u) from the ratios C(n, k+1) / C(n, k) = (n-k) / (k+1), summed
+    # exactly rounded up to the mode and outward from it, so the terms that
+    # matter keep their relative precision (math.comb(n, mode) takes seconds
+    # once n * rho nears 10^5)
+    top, k = min(int((n + 1) * rho), n), np.arange(n)
+    step = np.log((n - k) / (k + 1))
+    log_c = np.empty(n + 1)
+    log_c[top] = math.fsum(step[:top])
+    log_c[top + 1:] = log_c[top] + np.cumsum(step[top:])
+    log_c[:top] = log_c[top] - np.cumsum(step[:top][::-1])[::-1]
     u = np.arange(n + 1)
-    log_c = log_fact[n] - log_fact - log_fact[::-1]
     upper = _binomial_sum(n, u[w + 1:], log_c[w + 1:], rho)
     lower = _binomial_sum(n, u[:w + 1], log_c[:w + 1], rho)
     return upper if upper <= lower else 1.0 - lower
@@ -348,21 +356,16 @@ def write_enumeration_csv(enum: FailureEnumeration, path) -> None:
 class SyndromeClassification:
     """Per-syndrome inner-decoder behaviour over the whole syndrome space.
 
-    Status codes: 0 correct, 1 failure, 2 miscorrection.  leader_weight and
-    leader_pattern describe a minimum-weight error per syndrome.
+    Status codes: 0 correct, 1 failure, 2 miscorrection.  leader_weight is
+    the weight of a minimum-weight error per syndrome.
     """
 
     syndromes: np.ndarray
     status: np.ndarray
     leader_weight: np.ndarray
-    leader_pattern: np.ndarray
 
     def status_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return _status_sets(self.syndromes, self.status)
-
-    def min_weight(self, status_code: int):
-        mask = self.status == status_code
-        return int(self.leader_weight[mask].min()) if mask.any() else math.inf
 
 
 def _leader_status(X: np.ndarray, H: ParityCheckMatrix, cfg: dec.BitFlipConfig):
@@ -385,16 +388,14 @@ def classify_syndromes(
     """Exact decoder-region classification of every syndrome of a small code.
 
     Breadth-first search over the syndrome graph (edges = single-bit flips)
-    yields a coset-leader weight and representative per syndrome; decoding
-    the representative fixes the class.  Needs m <= 25 and n <= 63.
+    gives each syndrome its leader weight and the bit whose flip first reached
+    it; decoding the leader rebuilt from those bits fixes the class.  m <= 25.
     """
     if H.m > 25:
         raise ValueError(f"syndrome space 2^{H.m} too large for full classification")
-    if H.n > 63:
-        raise ValueError("leader patterns are stored as uint64; need n <= 63")
     size = 1 << H.m
     weight = np.full(size, -1, dtype=np.int8)
-    pattern = np.zeros(size, dtype=np.uint64)
+    last_bit = np.zeros(size, dtype=np.min_scalar_type(H.n - 1))
     weight[0] = 0
     frontier = np.array([0], dtype=np.int64)
     cols = np.array(H.cols_int, dtype=np.int64)
@@ -404,23 +405,24 @@ def classify_syndromes(
         nxt = []
         for i in range(H.n):
             cand = frontier ^ cols[i]
-            mask = weight[cand] < 0
-            if not mask.any():
-                continue
-            fresh = cand[mask]
-            weight[fresh] = level
-            pattern[fresh] = pattern[frontier[mask]] | np.uint64(1 << i)
-            nxt.append(fresh)
+            fresh = cand[weight[cand] < 0]
+            if fresh.size:
+                weight[fresh], last_bit[fresh] = level, i
+                nxt.append(fresh)
         frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-    syndromes = np.flatnonzero(weight >= 0).astype(np.int64)
+    syndromes = np.flatnonzero(weight >= 0)
     status = np.empty(syndromes.size, dtype=np.uint8)
     for lo in range(0, syndromes.size, 1 << 15):
-        sl = syndromes[lo:lo + (1 << 15)]
-        X = np.unpackbits(pattern[sl].astype("<u8").view(np.uint8).reshape(-1, 8),
-                          axis=1, count=H.n, bitorder="little")
-        status[lo:lo + sl.size] = _leader_status(X, H, cfg)
-    return SyndromeClassification(syndromes, status, weight[syndromes],
-                                  pattern[syndromes])
+        s = syndromes[lo:lo + (1 << 15)].copy()
+        X = np.zeros((s.size, H.n), dtype=np.uint8)
+        live = np.flatnonzero(s)
+        while live.size:
+            bit = last_bit[s[live]]
+            X[live, bit] = 1
+            s[live] ^= cols[bit]
+            live = live[s[live] != 0]
+        status[lo:lo + s.size] = _leader_status(X, H, cfg)
+    return SyndromeClassification(syndromes, status, weight[syndromes])
 
 
 def bounded_sets(
@@ -459,18 +461,21 @@ def greedy_ball_sweep(
     L: int = 10,
     budget: int = 2_000_000,
 ) -> dict[int, tuple[int, int]]:
-    """Walk the greedy policy from every error of weight 1..w.
+    """Walk the greedy policy, at most L steps, from every error of weight 1..w.
 
     Returns weight -> (patterns, wrong) where wrong counts any pattern not
     corrected exactly (converged, recovered flip set equal to the pattern)
-    in exactly its weight many steps.
+    in exactly its weight many steps.  Each weight goes through
+    `Decoder.decode_batch` in slices of the Q_CHUNK rows it decodes at once.
     """
+    decode = dec.Decoder("greedy", qsrc, H, dec.BeamConfig(d_max=L)).decode_batch
     out: dict[int, tuple[int, int]] = {}
     for u, _, patterns in ball_levels(H, w, budget):
         if u:
             wrong = 0
-            for y in patterns:
-                res = dec.greedy_decode(qsrc, y, H, max_steps=L)
-                wrong += not res.converged or res.flips != y or res.steps != u
+            for lo in range(0, len(patterns), dec.Q_CHUNK):
+                X = ints_to_bits(patterns[lo:lo + dec.Q_CHUNK], H.n)
+                flips, converged, steps = decode(X)
+                wrong += int((~converged | (flips != X).any(axis=1) | (steps != u)).sum())
             out[u] = (len(patterns), wrong)
     return out

@@ -284,14 +284,16 @@ def cmd_enum_failures(args) -> int:
 
 
 def cmd_count_orbits(args) -> int:
-    count = automorphism.burnside_count(args.j, args.p, args.b)
-    print(count)
+    # everything is computed before the first line goes out, so an invalid
+    # spec prints nothing but the error
+    lines = [automorphism.burnside_count(args.j, args.p, args.b)]
     if args.bounds:
         if args.k_blocks is None or args.a is None:
             raise ValueError("--bounds needs --k-blocks and --a")
         spec = QcLdpcSpec(args.p, args.j, args.k_blocks, args.a, args.b)
         lower, upper = analysis.syndrome_bounds(spec, build_qc_ldpc(spec))
-        print(f"bounds: [{lower}, {upper}]")
+        lines.append(f"bounds: [{lower}, {upper}]")
+    print(*lines, sep="\n")
     return 0
 
 

@@ -9,7 +9,8 @@ selected by the set bits of e.  This module holds the converters:
 `bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors,
 `ints_to_bits` from packed ints to a 0/1 matrix, and
 `ParityCheckMatrix.syndrome_batch` from (B, n) patterns to (B, m)
-syndromes.  `analysis.classify_syndromes` unpacks its uint64 leaders itself.
+syndromes.  Batches of error patterns in the other modules, and the DQN
+replay buffer's syndromes, are these uint8 rows.
 
 `ball_levels` walks the radius-w Hamming ball weight by weight, each weight
 in ``itertools.combinations`` order; a syndrome's representative is the

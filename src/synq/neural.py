@@ -147,31 +147,35 @@ class MlpNetwork:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring; push overwrites the oldest entry when full."""
+    """Fixed-capacity ring of transitions, one row each in `Step` field order,
+    s and s' as m 0/1 bits; push overwrites the oldest row when full."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, m: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: list[Step] = []
-        self._next = 0
+        self.capacity, self.m, self._pushed = capacity, m, 0
+        self._cols = (np.zeros((capacity, m), np.uint8), np.zeros(capacity, np.int64),
+                      np.zeros(capacity), np.zeros((capacity, m), np.uint8),
+                      np.zeros(capacity, bool))
 
     def push(self, tr: Step) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-        else:
-            self._items[self._next] = tr
-        self._next = (self._next + 1) % self.capacity
+        row = (int_to_bits(tr.s, self.m), tr.a, tr.r, int_to_bits(tr.s_next, self.m),
+               tr.terminal)
+        for col, v in zip(self._cols, row):
+            col[self._pushed % self.capacity] = v
+        self._pushed += 1
 
-    def sample(self, rng: np.random.Generator, k: int) -> list[Step]:
-        """k distinct items, uniform without replacement."""
-        if k > len(self._items):
+    def sample(self, rng: np.random.Generator, k: int):
+        """k distinct rows, uniform without replacement, as the (S, A, R, S2,
+        T) arrays `dqn_loss` takes, the bit rows in float64."""
+        if k > len(self):
             raise ValueError("not enough items to sample")
-        idx = rng.choice(len(self._items), size=k, replace=False)
-        return [self._items[i] for i in idx]
+        idx = rng.choice(len(self), size=k, replace=False)
+        S, A, R, S2, T = (col[idx] for col in self._cols)
+        return S.astype(np.float64), A, R, S2.astype(np.float64), T
 
     def __len__(self):
-        return len(self._items)
+        return min(self._pushed, self.capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,8 @@ def train_dqn(
     target = primary.copy()
     params = primary.params()
     opt = (Adam if cfg.optimizer == "adam" else Sgd)(params, cfg.lr)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    # an episode pushes at most L rows, so no larger ring can fill
+    buffer = ReplayBuffer(min(cfg.buffer_capacity, cfg.episodes * env.cfg.L), m)
     gamma = env.cfg.gamma
     grad_steps = 0
 
@@ -337,13 +342,8 @@ def train_dqn(
         for tr in rollout(env, sampler(rng), epsilon_greedy(rng, eps, n, greedy)):
             buffer.push(tr)
             if len(buffer) >= cfg.batch:
-                batch = buffer.sample(rng, cfg.batch)
-                S = ints_to_bits([tr.s for tr in batch], m).astype(np.float64)
-                S2 = ints_to_bits([tr.s_next for tr in batch], m).astype(np.float64)
-                A = np.array([tr.a for tr in batch])
-                R = np.array([tr.r for tr in batch])
-                T = np.array([tr.terminal for tr in batch])
-                loss, grads = dqn_loss(primary, target, S, A, R, S2, T, gamma)
+                loss, grads = dqn_loss(primary, target, *buffer.sample(rng, cfg.batch),
+                                       gamma)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"training diverged: non-finite loss at episode {ep}, "

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synq import analysis
 from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            classify_syndromes, combo_unrank_colex,
                            count_optimal_policies, enumerate_failures,
@@ -15,7 +16,7 @@ from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            greedy_ball_sweep, patterns_colex, syndrome_bounds,
                            write_enumeration_csv)
 from synq.codes import (ParityCheckMatrix, ball_levels, ball_size, bits_to_int,
-                        hamming_ball_syndromes, random_parity_check)
+                        bits_to_ints, hamming_ball_syndromes, random_parity_check)
 from synq.decoders import (BitFlipConfig, ZeroQ, bf_decode_batch,
                            bit_flipping_decode, greedy_decode)
 from conftest import ball_reference, random_codes, rng_for_tests
@@ -124,6 +125,22 @@ def test_bdd_fer_matches_exact_arithmetic(n, data, rho):
     exact = _binomial_sum_exact(n, {u: math.comb(n, u) for u in range(w + 1, n + 1)}, rho)
     got = bdd_fer(n, w, rho)
     assert _within(got, exact) and 0.0 <= got <= 1.0
+
+
+@pytest.mark.parametrize("n, w, rho", [(10000, 150, 0.01), (20000, 40, 0.001),
+                                       (5000, 60, 0.01)])
+def test_bdd_fer_keeps_relative_precision_at_large_n(n, w, rho):
+    # exact rational arithmetic with rho = a / D, kept as integers over D^n:
+    # the rate is (D^n - sum_{u<=w} C(n,u) a^u (D-a)^(n-u)) / D^n
+    a, D = Fraction(rho).as_integer_ratio()
+    lower, tail = 0, (D - a) ** (n - w)
+    for u in range(w, -1, -1):
+        lower += math.comb(n, u) * a**u * tail
+        tail *= D - a
+    num, den = D**n - lower, D**n
+    got_num, got_den = bdd_fer(n, w, rho).as_integer_ratio()
+    # |got - exact| <= 1e-13 * exact, cross-multiplied
+    assert abs(got_num * den - num * got_den) * 10**13 <= num * got_den
 
 
 def test_bdd_fer_near_one_does_not_exceed_it():
@@ -510,14 +527,11 @@ def test_classify_leaders_are_minimal(hamming):
     assert by_s[0] == 0
     for s in range(1, 8):
         assert by_s[s] == 1  # every column of the [7,4] code is distinct
-    for s, pat in zip(cls.syndromes.tolist(), cls.leader_pattern.tolist()):
-        assert hamming.syndrome(int(pat)) == s
 
 
-def test_classify_random_code_against_bfs(hamming):
-    H = random_parity_check(10, 4, seed=5)
-    cls = classify_syndromes(H)
-    # reference BFS over the syndrome graph with plain dicts
+def _bfs_distances(H):
+    """Reference BFS over the syndrome graph with plain dicts: the leader
+    weight of every reachable syndrome."""
     dist = {0: 0}
     frontier = [0]
     while frontier:
@@ -529,6 +543,13 @@ def test_classify_random_code_against_bfs(hamming):
                     dist[t] = dist[s] + 1
                     nxt.append(t)
         frontier = nxt
+    return dist
+
+
+def test_classify_random_code_against_bfs(hamming):
+    H = random_parity_check(10, 4, seed=5)
+    cls = classify_syndromes(H)
+    dist = _bfs_distances(H)
     assert set(cls.syndromes.tolist()) == set(dist)
     for s, w in zip(cls.syndromes.tolist(), cls.leader_weight.tolist()):
         assert w == dist[s]
@@ -537,8 +558,39 @@ def test_classify_random_code_against_bfs(hamming):
 def test_classify_size_guards(tanner):
     with pytest.raises(ValueError):
         classify_syndromes(tanner)  # m = 93
-    with pytest.raises(ValueError):
-        classify_syndromes(random_parity_check(64, 10, seed=0))
+    # leaders are 0/1 rows, so codes longer than 63 bits classify too
+    H = random_parity_check(64, 10, seed=0)
+    cls = classify_syndromes(H)
+    assert dict(zip(cls.syndromes.tolist(), cls.leader_weight.tolist())) == _bfs_distances(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_classification_agrees_with_bounded_sets(hamming, data):
+    # two independent paths: BFS leaders rebuilt from their last bits, and
+    # the ball walk's first least-weight patterns.  Bit flipping's flips
+    # depend only on the syndrome, so both must put every syndrome in the
+    # same region
+    H = data.draw(st.just(hamming) | st.builds(
+        random_parity_check, st.integers(2, 16), st.integers(3, 12), st.integers(0, 2**16)))
+    cfg = BitFlipConfig(tau=data.draw(st.integers(1, 3)), max_iter=30)
+    leaders = []
+
+    def record(X, H, cfg):
+        leaders.append(X.copy())
+        return leader_status(X, H, cfg)
+
+    leader_status = analysis._leader_status
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_leader_status", record)
+        cls = classify_syndromes(H, cfg)
+    X = np.concatenate(leaders)
+    # each rebuilt leader has its syndrome and its weight
+    assert bits_to_ints(H.syndrome_batch(X)) == cls.syndromes.tolist()
+    assert X.sum(axis=1).tolist() == cls.leader_weight.tolist()
+    sets = bounded_sets(H, int(cls.leader_weight.max()), cfg)
+    assert sets["ball"] == set(cls.syndromes.tolist())
+    assert (sets["bcorrect"], sets["bfail"], sets["bmisc"]) == cls.status_sets()
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +663,9 @@ class _HashedQ:
 
     def q_values(self, s):
         return self.table[s % 251]
+
+    def q_values_batch(self, states):
+        return self.table[[s % 251 for s in states]]
 
 
 @settings(max_examples=40, deadline=None)

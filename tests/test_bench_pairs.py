@@ -90,3 +90,42 @@ def test_pairs_alternate_and_extend_the_output(tmp_path):
     assert doc["summary"]["w"]["raw_round_s"]["change_median"] == 0.5
     bench_pairs.main(argv + ["9"])
     assert json.loads(out.read_text())["summary"]["w"]["pairs"] == 4
+
+
+_TIGHT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.0375
+_WIDE = [0.6, 1.0, 1.4, 0.7, 1.3]  # IQR 0.6, 60% of the median
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # 10% slower: inside the 0.25 bound
+    (_TIGHT, [p * 1.1 for p in _TIGHT], "lower", "held"),
+    (_TIGHT, [p * 1.3 for p in _TIGHT], "lower", "regressed"),
+    (_TIGHT, [p * 0.7 for p in _TIGHT], "higher", "regressed"),
+    # a parent spread wider than the bound, runs that overlap it
+    (_WIDE, [0.9, 1.0, 1.1, 0.95, 1.05], "lower", "unresolved"),
+    # a regression beyond the bound is reported whatever the spread
+    (_WIDE, [p + 0.5 for p in _WIDE], "lower", "regressed"),
+    # the same spread, but every change run beats every parent run
+    (_WIDE, [0.2, 0.3, 0.35, 0.25, 0.28], "lower", "improved"),
+    # 9 of 10 pairs won, by more than the parent's IQR
+    (_TIGHT, [p - 0.1 for p in _TIGHT[:9]] + [_TIGHT[9] + 0.01], "lower", "improved"),
+    (_TIGHT, [p + 0.1 for p in _TIGHT[:9]] + [_TIGHT[9] - 0.01], "higher", "improved"),
+    # 8 of 10 pairs won: not enough
+    (_TIGHT, [p - 0.1 for p in _TIGHT[:8]] + [p + 0.01 for p in _TIGHT[8:]], "lower", "held"),
+    # every pair won, by less than the parent's IQR
+    (_TIGHT, [p - 0.001 for p in _TIGHT], "lower", "held"),
+])
+def test_verdict_rules(parent, change, better, want):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == want
+
+
+def test_summary_gives_a_verdict_only_to_bounded_metrics():
+    runs = []
+    for seed, p in enumerate(_TIGHT):
+        runs += [record("parent", seed, p, 10, scale=1.0),
+                 record("change", seed, p * 1.3, 10, scale=1.0)]
+    summ = bench_pairs.summarize(runs, {"round_s": "lower", "rate": "higher"},
+                                 {"round_s": 0.25})["w"]
+    assert summ["round_s"]["verdict"] == "regressed"
+    assert "verdict" not in summ["rate"] and "verdict" not in summ["raw_round_s"]
+    assert "verdict" not in bench_pairs.summarize(runs, {"round_s": "lower"})["w"]["round_s"]

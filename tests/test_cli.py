@@ -210,6 +210,29 @@ def test_train_q_artifact_digest(tmp_path, variant, w):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == QTAB_DIGESTS[variant, w]
 
 
+# SHA-256 of the .qnet that `train-dqn` writes on the small code at one
+# OpenBLAS thread (the weights' last bits depend on the thread count).  The
+# small ring and batch make the buffer wrap and sample some 270 minibatches,
+# so a change to the replay rows, the loss, the optimizer or the RNG stream
+# shows up here.
+QNET_DIGEST = "23002e2fcde2c16029308a35366c9bfcf4600441a60313e08646e01424bd8f0f"
+
+
+def test_train_dqn_artifact_digest(tmp_path):
+    out = tmp_path / "v.qnet"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "synq.cli", "train-dqn", *SMALL, "--variant",
+         "truncated", "--w", "2", "--hidden", "16", "--episodes", "150",
+         "--seed", "0", "--batch", "16", "--buffer", "64", "--sync-every", "50",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QNET_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
@@ -536,6 +559,20 @@ def test_count_orbits_bounds_needs_variable_side(capsys):
     rc = main(["count-orbits", "--j", "3", "--p", "7", "--b", "2", "--bounds"])
     assert rc == 2
     assert "k-blocks" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--bounds"],
+    ["--bounds", "--k-blocks", "3"],
+    ["--bounds", "--k-blocks", "3", "--a", "9"],  # a outside [1, p)
+    ["--bounds", "--k-blocks", "3", "--a", "2"],  # a == b
+    ["--bounds", "--k-blocks", "4", "--a", "4"],  # 4 has order 3 mod 7
+])
+def test_count_orbits_prints_nothing_before_an_error(capsys, extra):
+    assert main(["count-orbits", "--j", "3", "--p", "7", "--b", "2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and json.loads(captured.err)["error"]
 
 
 def test_canonicalize(capsys):

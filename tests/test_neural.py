@@ -178,25 +178,34 @@ def test_network_validation():
 
 
 def _tr(i):
-    return Step(s=i, a=i % 3, r=float(i), s_next=i + 1, terminal=False)
+    return Step(s=i, a=i % 3, r=float(i), s_next=i + 1, terminal=i % 2 == 1)
+
+
+def _steps(batch):
+    """The Step of each row of a sampled (S, A, R, S2, T) batch."""
+    S, A, R, S2, T = batch
+    return [Step(*row) for row in zip(bits_to_ints(S), A.tolist(), R.tolist(),
+                                      bits_to_ints(S2), T.tolist())]
 
 
 def test_ring_overwrites_oldest():
-    buf = ReplayBuffer(capacity=3)
+    buf = ReplayBuffer(capacity=3, m=4)
     for i in range(5):
         buf.push(_tr(i))
     assert len(buf) == 3
-    held = {t.s for t in buf._items}
-    assert held == {2, 3, 4}
+    held = _steps(buf.sample(rng_for_tests(3), 3))
+    assert {t.s for t in held} == {2, 3, 4}
+    assert all(t == _tr(t.s) for t in held)
 
 
 def test_sample_without_replacement():
-    buf = ReplayBuffer(capacity=10)
+    buf = ReplayBuffer(capacity=10, m=4)
     for i in range(10):
         buf.push(_tr(i))
     rng = rng_for_tests(11)
-    batch = buf.sample(rng, 10)
-    assert sorted(t.s for t in batch) == list(range(10))
+    S, A, R, S2, T = batch = buf.sample(rng, 10)
+    assert S.dtype == S2.dtype == np.float64 and T.dtype == bool
+    assert sorted(t.s for t in _steps(batch)) == list(range(10))
     with pytest.raises(ValueError):
         buf.sample(rng, 11)
 

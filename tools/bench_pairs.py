@@ -13,8 +13,10 @@ of its `round k: X s` lines, its set-up median and the probe's factor.  The
 output holds every record and, per workload and end-to-end metric, both
 sides' medians and inclusive-quartile IQRs, the change's relative median
 shift and the pairs in which the change was better (direction from
-BENCHMARK.json); `raw_round_s` and `raw_setup_s` are summarized the same
-way, so a shift that comes from the probe rather than the rounds shows.
+BENCHMARK.json), and a verdict against the metric's relative bound there
+(see `verdict`); `raw_round_s` and `raw_setup_s` are summarized the same
+way without a verdict, so a shift that comes from the probe rather than the
+rounds shows.
 
 --workload may be repeated.  An existing --out file is extended, so a series
 can be built in several calls.  --traced-seconds T adds one `--trace 1` run
@@ -84,10 +86,34 @@ def _value(rec: dict, metric: str) -> float | None:
     return rec["result"].get("metrics", {}).get(metric, {}).get("value")
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(par: list[float], chg: list[float], direction: str, bound: float) -> str:
+    """One pair-matched metric judged against its relative `bound`, first
+    rule that holds:
+      regressed   the change's median is worse than the parent's by more
+                  than bound x the parent's median;
+      unresolved  the parent's IQR exceeds bound x its median, and not every
+                  change run beats every parent run;
+      improved    the change wins at least 9 of 10 pairs, and the medians
+                  differ by more than the parent's IQR;
+      held        otherwise."""
+    sign = 1 if direction == "higher" else -1
+    pm, cm, iqr = statistics.median(par), statistics.median(chg), _iqr(par)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+    if sign * (pm - cm) > bound * abs(pm):
+        return "regressed"
+    if iqr > bound * abs(pm) and not all(sign * (c - p) > 0 for p in par for c in chg):
+        return "unresolved"
+    if 10 * wins >= 9 * len(par) and sign * (cm - pm) > iqr:
+        return "improved"
+    return "held"
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload: pairs, all_correct, and for each metric of `better`
     ("lower" or "higher") the medians, IQRs, relative median shift and the
-    pairs the change won.  A pair is the parent and change runs of one seed.
+    pairs the change won, plus its `verdict` if `bounds` gives the metric a
+    relative bound.  A pair is the parent and change runs of one seed.
     round_s and setup_s are also summarized unscaled, as raw_round_s and
     raw_setup_s."""
     out = {}
@@ -113,6 +139,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_wins": sum(sign * (c - p) > 0 for p, c in got),
                 "relative_change": statistics.median(chg) / pm - 1 if pm else None,
             }
+            if metric in (bounds or {}):
+                summ[metric]["verdict"] = verdict(par, chg, direction, bounds[metric])
         summ["all_correct"] = all(
             r["result"].get("correct") and r["result"].get("failed") == 0
             and r["returncode"] == 0 for r in runs if r["workload"] == wl)
@@ -157,7 +185,9 @@ def main(argv=None) -> int:
                 traced[wl][side] = {k: v["value"] for k, v in
                                     rec["result"].get("metrics", {}).items()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    doc["summary"] = summarize(runs, {m["name"]: m["better"] for m in spec["end_to_end"]})
+    doc["summary"] = summarize(runs, {m["name"]: m["better"] for m in spec["end_to_end"]},
+                               {m["name"]: m["bound"] for m in spec["end_to_end"]
+                                if "bound" in m})
     doc["runs"], doc["traced"] = runs, traced
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
