@@ -32,12 +32,15 @@ from .sim import ordered_map
 # ---------------------------------------------------------------------------
 
 
-def _binomial_sum(n: int, u: np.ndarray, log_c: np.ndarray, rho: float) -> float:
-    """sum c_u rho^u (1-rho)^(n-u) over weights u from log c_u, 0 < rho < 1:
-    a log-sum-exp shifted by the largest log term, so none overflows."""
-    t = log_c + u * math.log(rho) + (n - u) * math.log1p(-rho)
+def _sum_exp(t: np.ndarray) -> float:
+    """sum exp(t), shifted by the largest t so that no term overflows."""
     top = t.max()
     return math.exp(top) * float(np.exp(t - top).sum())
+
+
+def _binomial_sum(n: int, u: np.ndarray, log_c: np.ndarray, rho: float) -> float:
+    """sum c_u rho^u (1-rho)^(n-u) over weights u from log c_u, 0 < rho < 1."""
+    return _sum_exp(log_c + u * math.log(rho) + (n - u) * math.log1p(-rho))
 
 
 def bdd_fer(n: int, w: int, rho: float) -> float:
@@ -55,19 +58,19 @@ def bdd_fer(n: int, w: int, rho: float) -> float:
         return 0.0
     if rho == 1.0:
         return 1.0
-    # log C(n, u) from the ratios C(n, k+1) / C(n, k) = (n-k) / (k+1), summed
-    # exactly rounded up to the mode and outward from it, so the terms that
-    # matter keep their relative precision (math.comb(n, mode) takes seconds
-    # once n * rho nears 10^5)
+    # d_u = log P(U=u) - log P(U=top) at the mode top, from the per-step logs
+    # of P(u+1) / P(u) = (n-u) / (u+1) * rho / (1-rho) summed outward from it:
+    # the partial sums stay small where the mass is, and dividing by the
+    # total mass cancels log P(U=top), so no large log term is ever rounded
+    # (math.comb(n, top) would also take seconds once n * rho nears 10^5)
     top, k = min(int((n + 1) * rho), n), np.arange(n)
-    step = np.log((n - k) / (k + 1))
-    log_c = np.empty(n + 1)
-    log_c[top] = math.fsum(step[:top])
-    log_c[top + 1:] = log_c[top] + np.cumsum(step[top:])
-    log_c[:top] = log_c[top] - np.cumsum(step[:top][::-1])[::-1]
-    u = np.arange(n + 1)
-    upper = _binomial_sum(n, u[w + 1:], log_c[w + 1:], rho)
-    lower = _binomial_sum(n, u[:w + 1], log_c[:w + 1], rho)
+    step = np.log((n - k) / (k + 1) * (rho / (1.0 - rho)))
+    d = np.zeros(n + 1)
+    d[top + 1:] = np.cumsum(step[top:])
+    d[:top] = -np.cumsum(step[:top][::-1])[::-1]
+    total = _sum_exp(d)
+    upper = _sum_exp(d[w + 1:]) / total
+    lower = _sum_exp(d[:w + 1]) / total
     return upper if upper <= lower else 1.0 - lower
 
 

@@ -259,18 +259,26 @@ def build_qc_ldpc(spec: QcLdpcSpec) -> ParityCheckMatrix:
 
 
 def random_parity_check(n: int, m: int, seed: int) -> ParityCheckMatrix:
-    """Random m x n parity-check matrix (no distance guarantees).
+    """Random m x n parity-check matrix (no distance guarantees), uniform
+    among those without a zero row or column.
 
-    Entries are iid Bernoulli(1/2); a draw with a zero row or column is
-    resampled.
+    Entries are iid Bernoulli(1/2).  Vectors along the shorter side (the
+    columns when m <= n) are redrawn one at a time until nonzero, which
+    leaves them iid uniform nonzero; a zero vector along the longer side
+    then resamples the whole matrix.  A draw with no zero vector is kept as
+    drawn.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n, m >= 1, got {n!r}, {m!r}")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed % 2**64, 0xC0DE], np.uint64)))
-    for _ in range(1000):
+    while True:
         H = (rng.random((m, n)) < 0.5).astype(np.uint8)
-        if (H.sum(axis=0) > 0).all() and (H.sum(axis=1) > 0).all():
+        short, long = (H.T, H) if m <= n else (H, H.T)  # views of H
+        while (zero := np.flatnonzero(~short.any(axis=1))).size:
+            short[zero] = rng.random((zero.size, short.shape[1])) < 0.5
+        if long.any(axis=1).all():
             return ParityCheckMatrix(H)
-    raise RuntimeError("failed to sample a matrix without zero rows/columns")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ scored: it ends the episode and `SyndromeMdp.step` raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .codes import ParityCheckMatrix
 
@@ -173,40 +173,57 @@ class SyndromeMdp:
         return self._score(s)[1]
 
 
-def rollout(env: SyndromeMdp, s0: int,
-            policy: Callable[[int], int]) -> Iterator[Step]:
-    """Yield the steps of one episode from s0: at most L, none when s0 is terminal."""
-    if env.is_terminal(s0):
-        return
-    s = s0
-    for _ in range(env.cfg.L):
-        a = policy(s)
-        s2, r, terminal = env.step(s, a)
-        yield Step(s, a, r, s2, terminal)
-        if terminal:
-            return
-        s = s2
-
-
 def epsilon_at(t: int, eps_max: float, eps_min: float, episodes: int) -> float:
     """Linear decay from eps_max at t=0, clamped below at eps_min."""
     return max(eps_min, eps_max - (eps_max - eps_min) * t / episodes)
 
 
-def epsilon_greedy(rng, eps: float, n: int,
-                   greedy: Callable[[int], int]) -> Callable[[int], int]:
-    """With probability eps a uniform action, else greedy(s); each call draws
-    rng.random(), then rng.integers(n) only when exploring."""
-    def policy(s: int) -> int:
-        if rng.random() < eps:
-            return int(rng.integers(n))
-        return greedy(s)
-    return policy
-
-
 def episode(env: SyndromeMdp, s0: int, policy: Callable[[int], int]) -> list[Step]:
     """Roll out at most L steps from s0; empty when s0 is already terminal."""
-    return list(rollout(env, s0, policy))
+    steps: list[Step] = []
+    s, terminal = s0, env.is_terminal(s0)
+    while not terminal and len(steps) < env.cfg.L:
+        a = policy(s)
+        s2, r, terminal = env.step(s, a)
+        steps.append(Step(s, a, r, s2, terminal))
+        s = s2
+    return steps
+
+
+def run_episodes(env: SyndromeMdp, cfg, rng, sampler,
+                 greedy: Callable[[int], int], learn,
+                 stop: Callable[[int], bool] | None = None) -> None:
+    """The epsilon-greedy episode loop both trainers share.
+
+    `cfg` supplies episodes, eps_max, eps_min and check_every.  Episode t
+    explores with epsilon_at(t, ...) and starts at sampler(rng); a terminal
+    start gives no step.  Each of at most L steps draws rng.random(), then
+    rng.integers(n) only when exploring, else takes greedy(s); it applies
+    the transition and the variant's scorer, the ones `SyndromeMdp.step`
+    uses, and calls learn(s, a, r, s', terminal) before the next action is
+    chosen.  `stop(episodes done)` is polled every cfg.check_every episodes
+    (never when 0), and training ends once it returns True.
+    """
+    n, L, cols, score = env.H.n, env.cfg.L, env.H.cols_int, env._score
+    random, integers = rng.random, rng.integers
+    episodes, eps_max, eps_min = cfg.episodes, cfg.eps_max, cfg.eps_min
+    every = cfg.check_every if stop is not None else 0
+    for t in range(episodes):
+        eps = epsilon_at(t, eps_max, eps_min, episodes)
+        s = sampler(rng)
+        if not score(s)[1]:
+            for _ in range(L):
+                a = int(integers(n)) if random() < eps else greedy(s)
+                s2 = s ^ cols[a]
+                r, terminal = score(s2)
+                if r is None:
+                    raise ValueError("syndrome outside the classified sets")
+                learn(s, a, r, s2, terminal)
+                if terminal:
+                    break
+                s = s2
+        if every and (t + 1) % every == 0 and stop(t + 1):
+            return
 
 
 def finite_horizon_q(j: int, r: float = 1.0, p: float = 0.1,

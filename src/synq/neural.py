@@ -34,7 +34,7 @@ import numpy as np
 
 from . import modelfile
 from .codes import int_to_bits, ints_to_bits
-from .mdp import Step, SyndromeMdp, epsilon_at, epsilon_greedy, rollout
+from .mdp import Step, SyndromeMdp, run_episodes
 
 # Rows per gemm block of a network's Q rows: part of their definition (see
 # above), not a tuning knob.
@@ -183,6 +183,15 @@ class ReplayBuffer:
 # ---------------------------------------------------------------------------
 
 
+def loss_work(net: MlpNetwork, batch: int) -> dict[str, np.ndarray]:
+    """The arrays `dqn_loss` writes for a batch of `batch` rows: gradients
+    shaped like the parameters, and the hidden and output activations."""
+    hid, n = net.W1.shape[0], net.n
+    return {**{k: np.empty_like(p) for k, p in net.params().items()},
+            "z1": np.empty((batch, hid)), "active": np.empty((batch, hid), bool),
+            "q": np.empty((batch, n)), "dq": np.empty((batch, n))}
+
+
 def dqn_loss(
     primary: MlpNetwork,
     target: MlpNetwork,
@@ -192,34 +201,47 @@ def dqn_loss(
     S2: np.ndarray,
     T: np.ndarray,
     gamma: float,
+    work: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared TD error and its gradients w.r.t. the primary parameters.
 
     Targets are r for terminal transitions, else r + gamma * max_a' target
     values at s'; the gradient flows only through the primary value of the
-    taken action.
+    taken action.  Every array is written into `work` (`loss_work`, fresh
+    when None), so that training, which passes one for all its steps,
+    allocates none per step; the gradients returned are views into it.
     """
-    B = S.shape[0]
-    z1 = S @ primary.W1.T + primary.b1
-    h = np.maximum(z1, 0.0)
-    q = h @ primary.W2.T + primary.b2
-    qsel = q[np.arange(B), A]
+    B, rows = S.shape[0], np.arange(S.shape[0])
+    w = loss_work(primary, B) if work is None else work
+    z1 = np.matmul(S, primary.W1.T, out=w["z1"])
+    z1 += primary.b1
+    active = np.greater(z1, 0.0, out=w["active"])
+    h = np.maximum(z1, 0.0, out=z1)
+    q = np.matmul(h, primary.W2.T, out=w["q"])
+    q += primary.b2
+    qsel = q[rows, A]
 
-    q_next = target.forward_batch(S2)
-    y = R + gamma * q_next.max(axis=1) * ~T
+    if T.all():
+        y = R  # r + gamma * max * 0 is r: the target pass cannot change a row
+    else:
+        y = R + gamma * target.forward_batch(S2).max(axis=1) * ~T
 
     diff = qsel - y
     loss = float(np.mean(diff**2))
 
-    dq = np.zeros_like(q)
-    dq[np.arange(B), A] = 2.0 * diff / B
-    dW2 = dq.T @ h
-    db2 = dq.sum(axis=0)
-    dh = dq @ primary.W2
-    dz1 = dh * (z1 > 0.0)
-    dW1 = dz1.T @ S
-    db1 = dz1.sum(axis=0)
-    return loss, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+    g = 2.0 * diff / B
+    dq = w["dq"]
+    dq.fill(0.0)
+    dq[rows, A] = g
+    np.matmul(dq.T, h, out=w["W2"])
+    np.sum(dq, axis=0, out=w["b2"])
+    # dq @ W2, whose rows have one nonzero each, into h's buffer
+    dz1 = np.take(primary.W2, A, axis=0, out=h)
+    dz1 *= g[:, None]
+    dz1 *= active
+    np.matmul(dz1.T, S, out=w["W1"])
+    np.sum(dz1, axis=0, out=w["b1"])
+    return loss, {k: w[k] for k in ("W1", "b1", "W2", "b2")}
 
 
 class Adam:
@@ -230,26 +252,29 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
         """p -= lr * (m / b1c) / (sqrt(v / b2c) + eps) after the moment
-        updates, computed in place with every operation in that order, so
-        the result is bit-identical to the one-line expression."""
+        updates, computed in place and in two scratch arrays per parameter
+        with every operation in that order, so the result is bit-identical
+        to the one-line expression and a step allocates nothing."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, p in params.items():
             g, m, v = grads[k], self.m[k], self.v[k]
+            num, den = self._work[k]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            g2 = (1.0 - self.beta2) * g
+            m += np.multiply(1.0 - self.beta1, g, out=num)
+            g2 = np.multiply(1.0 - self.beta2, g, out=den)
             g2 *= g
             v *= self.beta2
             v += g2
-            num = np.divide(m, b1c)
+            np.divide(m, b1c, out=num)
             num *= self.lr
-            den = np.divide(v, b2c, out=g2)
+            np.divide(v, b2c, out=den)
             np.sqrt(den, out=den)
             den += self.eps
             num /= den
@@ -332,30 +357,35 @@ def train_dqn(
     # an episode pushes at most L rows, so no larger ring can fill
     buffer = ReplayBuffer(min(cfg.buffer_capacity, cfg.episodes * env.cfg.L), m)
     gamma = env.cfg.gamma
-    grad_steps = 0
+    grad_steps, episode = 0, -1
+    work = loss_work(primary, cfg.batch)
+
+    def start(rng):
+        nonlocal episode
+        episode += 1
+        return sampler(rng)
 
     def greedy(s):
         return int(np.argmax(primary.forward(int_to_bits(s, m).astype(np.float64))))
 
-    for ep in range(cfg.episodes):
-        eps = epsilon_at(ep, cfg.eps_max, cfg.eps_min, cfg.episodes)
-        for tr in rollout(env, sampler(rng), epsilon_greedy(rng, eps, n, greedy)):
-            buffer.push(tr)
-            if len(buffer) >= cfg.batch:
-                loss, grads = dqn_loss(primary, target, *buffer.sample(rng, cfg.batch),
-                                       gamma)
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"training diverged: non-finite loss at episode {ep}, "
-                        f"gradient step {grad_steps}"
-                    )
-                opt.step(params, grads)
-                grad_steps += 1
-                if grad_steps % cfg.sync_every == 0:
-                    target = primary.copy()
-        if (stop_when is not None and cfg.check_every
-                and (ep + 1) % cfg.check_every == 0 and stop_when(primary, ep + 1)):
-            break
+    def learn(s, a, r, s2, terminal):
+        nonlocal target, grad_steps
+        buffer.push(Step(s, a, r, s2, terminal))
+        if len(buffer) >= cfg.batch:
+            loss, grads = dqn_loss(primary, target, *buffer.sample(rng, cfg.batch),
+                                   gamma, work)
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"training diverged: non-finite loss at episode {episode}, "
+                    f"gradient step {grad_steps}"
+                )
+            opt.step(params, grads)
+            grad_steps += 1
+            if grad_steps % cfg.sync_every == 0:
+                target = primary.copy()
+
+    run_episodes(env, cfg, rng, start, greedy, learn,
+                 None if stop_when is None else lambda t: stop_when(primary, t))
     return primary
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import modelfile
 from .codes import ParityCheckMatrix
-from .mdp import SyndromeMdp, epsilon_at, epsilon_greedy, rollout
+from .mdp import SyndromeMdp, run_episodes
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,30 @@ def train_q(
         },
     })
     alpha, gamma = cfg.alpha, env.cfg.gamma
-    for t in range(cfg.episodes):
-        eps = epsilon_at(t, cfg.eps_max, cfg.eps_min, cfg.episodes)
-        policy = epsilon_greedy(rng, eps, n, Q.greedy)
-        for s, a, r, s2, _ in rollout(env, sampler(rng), policy):
-            q_update(Q, s, a, r, s2, alpha, gamma)
-        if (stop_when is not None and cfg.check_every
-                and (t + 1) % cfg.check_every == 0 and stop_when(Q, t + 1)):
-            break
+    # the lowest argmax of every row training writes (0 when absent), so that
+    # a greedy action is a dict read and a bootstrap target one element read,
+    # not numpy scans.  Kept exact: a write moves it to a new maximum or to
+    # the lower index on a tie, and rescans the row only when the argmax
+    # entry falls
+    best: dict[int, int] = {}
+
+    def greedy(s):
+        return best.get(s, 0)
+
+    def learn(s, a, r, s2, terminal):
+        row = Q.row(s)
+        old = row.item(a)  # q_update's arithmetic, on the same doubles
+        new = old + alpha * (r + gamma * Q.q_values(s2).item(best.get(s2, 0)) - old)
+        row[a] = new
+        arg = best.get(s, 0)
+        if a == arg:
+            if new < old:
+                best[s] = int(row.argmax())
+        elif new > (top := row.item(arg)) or (new == top and a < arg):
+            best[s] = a
+
+    run_episodes(env, cfg, rng, sampler, greedy, learn,
+                 None if stop_when is None else lambda t: stop_when(Q, t))
     return Q
 
 

@@ -128,14 +128,15 @@ def test_bdd_fer_matches_exact_arithmetic(n, data, rho):
 
 
 @pytest.mark.parametrize("n, w, rho", [(10000, 150, 0.01), (20000, 40, 0.001),
-                                       (5000, 60, 0.01)])
+                                       (5000, 60, 0.01), (20000, 10000, 0.5)])
 def test_bdd_fer_keeps_relative_precision_at_large_n(n, w, rho):
     # exact rational arithmetic with rho = a / D, kept as integers over D^n:
     # the rate is (D^n - sum_{u<=w} C(n,u) a^u (D-a)^(n-u)) / D^n
     a, D = Fraction(rho).as_integer_ratio()
-    lower, tail = 0, (D - a) ** (n - w)
+    lower, comb, tail = 0, math.comb(n, w), (D - a) ** (n - w)
     for u in range(w, -1, -1):
-        lower += math.comb(n, u) * a**u * tail
+        lower += comb * a**u * tail
+        comb = comb * u // (n - u + 1)  # C(n, u-1), exactly
         tail *= D - a
     num, den = D**n - lower, D**n
     got_num, got_den = bdd_fer(n, w, rho).as_integer_ratio()
@@ -572,7 +573,7 @@ def test_classification_agrees_with_bounded_sets(hamming, data):
     # depend only on the syndrome, so both must put every syndrome in the
     # same region
     H = data.draw(st.just(hamming) | st.builds(
-        random_parity_check, st.integers(2, 16), st.integers(3, 12), st.integers(0, 2**16)))
+        random_parity_check, st.integers(2, 16), st.integers(1, 12), st.integers(0, 2**16)))
     cfg = BitFlipConfig(tau=data.draw(st.integers(1, 3)), max_iter=30)
     leaders = []
 

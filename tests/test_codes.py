@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -316,6 +318,36 @@ def test_random_parity_check_deterministic():
     assert A == B
     assert A != C
     assert A.bits.shape == (6, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+def test_random_parity_check_has_no_zero_row_or_column(n, m, seed):
+    H = random_parity_check(n, m, seed)
+    assert H.bits.shape == (m, n)
+    assert H.bits.any(axis=0).all() and H.bits.any(axis=1).all()
+
+
+def test_random_parity_check_with_one_row_or_column_is_all_ones():
+    # the only such matrices; whole-matrix rejection almost never drew them
+    assert random_parity_check(8, 1, 0).bits.tolist() == [[1] * 8]
+    assert random_parity_check(1, 8, 0).bits.tolist() == [[1]] * 8
+    assert random_parity_check(40, 1, 5).bits.all()
+
+
+@pytest.mark.parametrize("n, m, seeds, size, band", [
+    (2, 2, 7000, 7, (900, 1100)),    # mean 1000, standard deviation 29
+    (2, 3, 5000, 25, (150, 250)),    # mean 200, standard deviation 14
+])
+def test_random_parity_check_is_uniform_on_its_support(n, m, seeds, size, band):
+    # every m x n matrix without a zero row or column, about equally often
+    support = {b for b in itertools.product((0, 1), repeat=m * n)
+               if all(any(b[r * n:(r + 1) * n]) for r in range(m))
+               and all(any(b[c::n]) for c in range(n))}
+    counts = Counter(tuple(random_parity_check(n, m, seed).bits.ravel().tolist())
+                     for seed in range(seeds))
+    assert set(counts) == support and len(support) == size
+    assert all(band[0] <= c <= band[1] for c in counts.values())
 
 
 @pytest.mark.parametrize("seed,same_as", [(-1, 2**64 - 1), (2**64 + 3, 3)])

@@ -3,9 +3,9 @@ import pytest
 
 from synq.codes import hamming_ball_syndromes
 from synq.decoders import greedy_decode
-from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets
+from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets, epsilon_at
 from synq.tabular import (BallSampler, QTable, SetSampler, TrainConfig,
-                          epsilon_at, load_qtable,
+                          load_qtable,
                           load_qtable_text, q_update, save_qtable,
                           save_qtable_text, train_q)
 from conftest import rng_for_tests
