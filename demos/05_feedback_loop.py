@@ -8,11 +8,12 @@ inner-decoder success, failure, and miscorrection, so it learns to steer the
 word back into the correctable region without crossing into a wrong coset.
 """
 
+import itertools
+
 from synq import (BitFlipConfig, MdpConfig, QcLdpcSpec, SyndromeMdp,
                   SyndromeSets, bit_flipping_decode, build_qc_ldpc,
                   feedback_decode)
 from synq.analysis import bounded_sets, feedback_guarantee
-from synq.codes import ball_levels
 from synq.tabular import SetSampler, TrainConfig, train_q
 
 H = build_qc_ldpc(QcLdpcSpec(p=7, j=3, k_blocks=3, a=2, b=4))
@@ -37,9 +38,8 @@ def phi(word):
 
 
 # Exhaustive comparison over every weight 1 and 2 error pattern.
-for w, _, errors in ball_levels(H, 2):
-    if not w:
-        continue
+for w in (1, 2):
+    errors = [sum(1 << i for i in c) for c in itertools.combinations(range(H.n), w)]
     alone = assisted = 0
     for e in errors:
         r0 = phi(e)

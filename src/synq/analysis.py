@@ -23,8 +23,8 @@ import numpy as np
 
 from . import decoders as dec
 from .automorphism import burnside_count
-from .codes import (ParityCheckMatrix, QcLdpcSpec, ball_levels, ball_size,
-                    ints_to_bits)
+from .codes import (ParityCheckMatrix, QcLdpcSpec, ball_guard, ball_size,
+                    bits_to_ints)
 from .sim import ordered_map
 
 # ---------------------------------------------------------------------------
@@ -428,6 +428,15 @@ def classify_syndromes(
     return SyndromeClassification(syndromes, status, weight[syndromes])
 
 
+def _ball_slices(n: int, w: int):
+    """Yield (u, X) over the weight-<=w ball: each weight's colex patterns
+    (`patterns_colex`) in (B, n) slices of at most Q_CHUNK rows."""
+    for u in range(w + 1):
+        total = math.comb(n, u)
+        for lo in range(0, total, dec.Q_CHUNK):
+            yield u, patterns_colex(n, u, lo, min(lo + dec.Q_CHUNK, total))
+
+
 def bounded_sets(
     H: ParityCheckMatrix,
     w: int,
@@ -436,20 +445,25 @@ def bounded_sets(
 ):
     """Ball-restricted decoder-region sets (BS_c, BS_f, BS_m) plus S(w).
 
-    Walks the weight-<=w ball (`codes.ball_levels`), keeps the first
-    minimum-weight pattern per syndrome as its representative, and classifies
-    it with the inner decoder.  Returns a dict ready to build mdp.SyndromeSets
-    from.
+    Walks the weight-<=w ball weight by weight in slices, and classifies the
+    first pattern of each new syndrome, one of least weight, with the inner
+    decoder.  Bit flipping's flips depend only on the syndrome, so which
+    least-weight pattern stands for it does not matter.  Returns a dict ready
+    to build mdp.SyndromeSets from.
     """
-    reps: dict[int, int] = {}
-    for _, syndromes, patterns in ball_levels(H, w, budget):
-        for s, x in zip(syndromes, patterns):
-            reps.setdefault(s, x)
-    syn = sorted(reps)
-    X = ints_to_bits([reps[s] for s in syn], H.n)
-    correct, fail, misc = _status_sets(np.array(syn, dtype=object),
-                                       _leader_status(X, H, cfg))
-    return {"ball": frozenset(syn), "bcorrect": correct, "bfail": fail, "bmisc": misc}
+    ball_guard(H.n, w, budget)
+    status: dict[int, int] = {}
+    for _, X in _ball_slices(H.n, w):
+        fresh: dict[int, int] = {}  # new syndrome -> its first row in X
+        for r, s in enumerate(bits_to_ints(H.syndrome_batch(X))):
+            if s not in status:
+                fresh.setdefault(s, r)
+        if fresh:
+            rows = _leader_status(X[list(fresh.values())], H, cfg)
+            status.update(zip(fresh, rows.tolist()))
+    correct, fail, misc = _status_sets(np.array(list(status), dtype=object),
+                                       np.array(list(status.values())))
+    return {"ball": frozenset(status), "bcorrect": correct, "bfail": fail, "bmisc": misc}
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +482,14 @@ def greedy_ball_sweep(
 
     Returns weight -> (patterns, wrong) where wrong counts any pattern not
     corrected exactly (converged, recovered flip set equal to the pattern)
-    in exactly its weight many steps.  Each weight goes through
-    `Decoder.decode_batch` in slices of the Q_CHUNK rows it decodes at once.
+    in exactly its weight many steps.  Each slice of the ball goes through
+    `Decoder.decode_batch`, Q_CHUNK rows at a time as it decodes them.
     """
+    ball_guard(H.n, w, budget)
     decode = dec.Decoder("greedy", qsrc, H, dec.BeamConfig(d_max=L)).decode_batch
-    out: dict[int, tuple[int, int]] = {}
-    for u, _, patterns in ball_levels(H, w, budget):
+    wrong = dict.fromkeys(range(1, w + 1), 0)
+    for u, X in _ball_slices(H.n, w):
         if u:
-            wrong = 0
-            for lo in range(0, len(patterns), dec.Q_CHUNK):
-                X = ints_to_bits(patterns[lo:lo + dec.Q_CHUNK], H.n)
-                flips, converged, steps = decode(X)
-                wrong += int((~converged | (flips != X).any(axis=1) | (steps != u)).sum())
-            out[u] = (len(patterns), wrong)
-    return out
+            flips, converged, steps = decode(X)
+            wrong[u] += int((~converged | (flips != X).any(axis=1) | (steps != u)).sum())
+    return {u: (math.comb(H.n, u), bad) for u, bad in wrong.items()}

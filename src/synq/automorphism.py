@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (ParityCheckMatrix, QcLdpcSpec, bits_to_int, int_to_bits, is_prime,
-                    multiplicative_order)
+from .codes import (ParityCheckMatrix, QcLdpcSpec, bits_to_int, has_order, int_to_bits,
+                    is_prime)
 
 # ---------------------------------------------------------------------------
 # index permutations
@@ -139,11 +139,7 @@ class AutomorphismPair:
 
 def variable_shift(spec: QcLdpcSpec, delta: int) -> IndexPermutation:
     """Shift every variable necklace by delta: (t, i) -> (t, i + delta)."""
-    return _necklace_perm(spec.k_blocks, spec.p, 0, 1, delta % spec.p)
-
-
-def check_shift(spec: QcLdpcSpec, delta: int) -> IndexPermutation:
-    return _necklace_perm(spec.j, spec.p, 0, 1, delta % spec.p)
+    return shift_pair(spec, delta).var
 
 
 def variable_mult(spec: QcLdpcSpec) -> IndexPermutation:
@@ -151,14 +147,9 @@ def variable_mult(spec: QcLdpcSpec) -> IndexPermutation:
     return _necklace_perm(spec.k_blocks, spec.p, 1, spec.a, 0)
 
 
-def check_mult(spec: QcLdpcSpec) -> IndexPermutation:
-    """rho: (s, i) -> (s+1 mod j, b*i mod p) on check nodes."""
-    return _necklace_perm(spec.j, spec.p, 1, spec.b, 0)
-
-
 def shift_pair(spec: QcLdpcSpec, delta: int) -> AutomorphismPair:
-    """Cyclic shift of all necklaces on both sides by the same delta."""
-    return AutomorphismPair(variable_shift(spec, delta), check_shift(spec, delta))
+    """sigma^delta: cyclic shift of all necklaces on both sides by delta."""
+    return element_pair(spec, GroupElement(delta % spec.p, 0, spec.p, spec.j, spec.b))
 
 
 def mult_a_pair(spec: QcLdpcSpec) -> AutomorphismPair:
@@ -170,9 +161,7 @@ def mult_a_pair(spec: QcLdpcSpec) -> AutomorphismPair:
 
 def mult_b_pair(spec: QcLdpcSpec) -> AutomorphismPair:
     """rho paired with its induced variable action (t, i) -> (t, b*i)."""
-    return AutomorphismPair(
-        _necklace_perm(spec.k_blocks, spec.p, 0, spec.b, 0), check_mult(spec)
-    )
+    return element_pair(spec, GroupElement(0, 1 % spec.j, spec.p, spec.j, spec.b))
 
 
 def element_pair(spec: QcLdpcSpec, g: GroupElement) -> AutomorphismPair:
@@ -204,7 +193,7 @@ def burnside_count(j: int, p: int, b: int | None = None) -> int:
     """
     if j < 1 or not is_prime(p):
         raise ValueError("need j >= 1 and p prime")
-    if b is not None and j > 1 and multiplicative_order(b % p, p) != j:
+    if b is not None and j > 1 and not has_order(b % p, j, p):
         raise ValueError(f"b={b} does not have order {j} mod {p}")
     total = (1 << (j * p)) + (p - 1) * (1 << j)
     for d in range(1, j):
@@ -226,20 +215,14 @@ def _totient(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _orbit_index(p: int, blocks: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_index(p: int, blocks: int, mult: int) -> np.ndarray:
     """Gather indices for the whole orbit of a block-major coloring v.
 
-    v[cosets[s]] is rho^s v, where rho^s moves bead (c, i) to
-    (c + s, mult^s i); w[rot[u]] is w with every block rotated by u, which
-    moves bead (c, i) to (c, i + u).  So v[cosets][:, rot] lists
-    sigma^u rho^s v for all s and u, the blocks*p members of the orbit.
+    Row g is the inverse check_perm mapping of the g-th group element, so
+    v[index] lists the blocks*p members g v of the orbit as its rows.
     """
-    n = blocks * p
-    c, i = np.divmod(np.arange(n), p)
-    cosets = np.stack([((c - s) % blocks) * p + (pow(mult, -s, p) * i) % p
-                       for s in range(blocks)])
-    rot = c * p + (i - np.arange(p)[:, None]) % p
-    return cosets, rot
+    return np.stack([GroupElement(u, s, p, blocks, mult).check_perm().inverse().mapping
+                     for s in range(blocks) for u in range(p)])
 
 
 def _lexmin_row(M: np.ndarray) -> int:
@@ -269,6 +252,5 @@ def canonical_representative(
         raise ValueError("coloring entries must be 0/1")
     if pow(mult, blocks, p) != 1 % p:
         raise ValueError("multiplier^blocks != 1 mod p")
-    cosets, rot = _orbit_index(p, blocks, mult)
-    orbit = v[cosets][:, rot].reshape(blocks * p, blocks * p)
+    orbit = v[_orbit_index(p, blocks, mult)]
     return orbit[_lexmin_row(orbit)].copy()

@@ -12,12 +12,6 @@ selected by the set bits of e.  This module holds the converters:
 syndromes.  Batches of error patterns in the other modules, and the DQN
 replay buffer's syndromes, are these uint8 rows.
 
-`ball_levels` walks the radius-w Hamming ball weight by weight, each weight
-in ``itertools.combinations`` order; a syndrome's representative is the
-first pattern of least weight in that order, and `hamming_ball_syndromes`
-is the union of its syndromes, S(w).  `analysis.patterns_colex`
-walks one weight in colex rank order, for resumable sweeps.
-
 Quasi-cyclic constructions place a p x p circulant permutation block at
 block position (s, t), the identity cyclically shifted by b^s * a^t mod p,
 where a has multiplicative order k_blocks and b has order j modulo the
@@ -188,14 +182,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"{a} is not a unit mod {p}")
-    x, order = a % p, 1
-    while x != 1:
-        x = x * a % p
-        order += 1
-    return order
+def has_order(a: int, k: int, p: int) -> bool:
+    """Whether a has multiplicative order exactly k modulo the prime p.
+
+    Every order divides p - 1, so any other k is refused at once; else the
+    order is k when a^k = 1 and a^(k/q) != 1 for each prime q dividing k.
+    """
+    if k < 1 or (p - 1) % k or pow(a, k, p) != 1:
+        return False
+    q, rest = 2, k
+    while q * q <= rest:
+        if rest % q == 0:
+            if pow(a, k // q, p) == 1:
+                return False
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return rest == 1 or pow(a, k // rest, p) != 1
 
 
 @dataclass(frozen=True)
@@ -219,16 +222,9 @@ class QcLdpcSpec:
             raise ValueError("a, b must lie in [1, p)")
         if self.a == self.b:
             raise ValueError("a and b must differ")
-        if multiplicative_order(self.a, self.p) != self.k_blocks:
-            raise ValueError(
-                f"a={self.a} has order {multiplicative_order(self.a, self.p)} "
-                f"mod {self.p}, need {self.k_blocks}"
-            )
-        if multiplicative_order(self.b, self.p) != self.j:
-            raise ValueError(
-                f"b={self.b} has order {multiplicative_order(self.b, self.p)} "
-                f"mod {self.p}, need {self.j}"
-            )
+        for name, x, k in (("a", self.a, self.k_blocks), ("b", self.b, self.j)):
+            if not has_order(x, k, self.p):
+                raise ValueError(f"{name}={x} does not have order {k} mod {self.p}")
 
     @property
     def m(self) -> int:
@@ -290,35 +286,31 @@ def ball_size(n: int, w: int) -> int:
     return sum(math.comb(n, i) for i in range(w + 1))
 
 
-def ball_levels(H: ParityCheckMatrix, w: int, budget: int = 2_000_000):
-    """Walk the Hamming ball of radius w one weight at a time.
-
-    Yields (u, syndromes, patterns) for u = 0..w: the syndrome and packed
-    pattern of every weight-u error, in ``itertools.combinations(range(n), u)``
-    order.  A radius outside [0, n] or a ball of more than `budget` patterns
-    raises ValueError as iteration starts, before any pattern is built.
-    """
-    if not 0 <= w <= H.n:
-        raise ValueError(f"ball radius {w} outside [0, {H.n}]")
-    total = ball_size(H.n, w)
+def ball_guard(n: int, w: int, budget: int) -> None:
+    """Refuse a radius outside [0, n] or a ball of more than `budget` patterns."""
+    if not 0 <= w <= n:
+        raise ValueError(f"ball radius {w} outside [0, {n}]")
+    total = ball_size(n, w)
     if total > budget:
         raise ValueError(f"ball has {total} patterns, exceeds budget {budget}")
-    # each weight-u pattern extends a weight-(u-1) one, and its syndrome, by an
-    # index above its highest set bit; only a level and its parent stay alive
-    cols, bits = H.cols_int, [1 << i for i in range(H.n)]
-    syn, pat = [0], [0]
-    yield 0, syn, pat
-    for u in range(1, w + 1):
-        syn = [s ^ c for s, x in zip(syn, pat) for c in cols[x.bit_length():]]
-        pat = [x | b for x in pat for b in bits[x.bit_length():]]
-        yield u, syn, pat
 
 
 def hamming_ball_syndromes(
     H: ParityCheckMatrix, w: int, budget: int = 2_000_000
 ) -> frozenset[int]:
-    """The set S(w) of syndromes reachable from error patterns of weight <= w."""
-    return frozenset().union(*(syn for _, syn, _ in ball_levels(H, w, budget)))
+    """The set S(w) of syndromes reachable from error patterns of weight <= w.
+
+    Each weight-u syndrome extends a weight-(u-1) one by a column past the
+    last index that one used.
+    """
+    ball_guard(H.n, w, budget)
+    cols, n = H.cols_int, H.n
+    levels, start = [[0]], [0]
+    for u in range(1, w + 1):
+        levels.append([s ^ c for s, t in zip(levels[-1], start) for c in cols[t:]])
+        if u < w:
+            start = [i for t in start for i in range(t + 1, n + 1)]
+    return frozenset().union(*levels)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +346,8 @@ def load_alist(path) -> ParityCheckMatrix:
         row_deg = [int(v) for v in rows[3]]
         if len(col_deg) != n or len(row_deg) != m:
             raise ValueError("degree list length mismatch")
+        if len(rows) < 4 + n + m:
+            raise ValueError(f"{len(rows) - 4} adjacency lines, need {n + m}")
         H = np.zeros((m, n), dtype=np.uint8)
         for i in range(n):
             entries = [int(v) for v in rows[4 + i] if int(v) != 0]
@@ -367,6 +361,6 @@ def load_alist(path) -> ParityCheckMatrix:
             entries = [int(v) for v in rows[4 + n + r] if int(v) != 0]
             if sorted(entries) != [i + 1 for i in np.flatnonzero(H[r, :])]:
                 raise ValueError(f"row {r} adjacency inconsistent with columns")
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, MemoryError) as exc:  # MemoryError: absurd n, m
         raise ValueError(f"malformed alist file {path}: {exc}") from None
     return ParityCheckMatrix(H)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from synq.analysis import (WeightEnumerator, bdd_fer, bounded_sets,
                            error_floor_estimate, feedback_guarantee,
                            greedy_ball_sweep, patterns_colex, syndrome_bounds,
                            write_enumeration_csv)
-from synq.codes import (ParityCheckMatrix, ball_levels, ball_size, bits_to_int,
+from synq.codes import (ParityCheckMatrix, ball_size, bits_to_int,
                         bits_to_ints, hamming_ball_syndromes, random_parity_check)
 from synq.decoders import (BitFlipConfig, ZeroQ, bf_decode_batch,
                            bit_flipping_decode, greedy_decode)
@@ -631,6 +632,19 @@ def test_bounded_sets_budget(tanner):
             bounded_sets(tanner, w)
 
 
+def test_bounded_sets_memory_is_bounded_by_the_slice(tanner):
+    # the 12,091 weight-<=2 Tanner patterns are read Q_CHUNK rows at a time;
+    # decoding all 12,091 leaders at once peaks at 22 MiB
+    tracemalloc.start()
+    try:
+        sets = bounded_sets(tanner, 2, BitFlipConfig(tau=2, max_iter=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sets["ball"]) == 1 + 155 + math.comb(155, 2)
+    assert peak < 8 * 2**20
+
+
 def _bounded_sets_reference(H, w, cfg):
     """The regions by definition: each ball syndrome's first least-weight
     pattern, decoded by the scalar bit-flipping decoder."""
@@ -699,8 +713,7 @@ def test_ball_guards_raise_before_any_work(nw):
     H = _Unwalkable(n)
     # a radius outside [0, n] is refused even under a budget it would fit
     budget = ball_size(n, w) - 1 if 0 <= w <= n else 2**n
-    for walk in (lambda H, w, budget: next(ball_levels(H, w, budget)),
-                 hamming_ball_syndromes,
+    for walk in (hamming_ball_syndromes,
                  lambda H, w, budget: bounded_sets(H, w, budget=budget),
                  lambda H, w, budget: greedy_ball_sweep(ZeroQ(n), H, w,
                                                         budget=budget)):

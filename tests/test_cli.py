@@ -669,6 +669,38 @@ def test_module_entry_point():
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
 
 
+def _cli_error(argv, timeout=10):
+    """Run the CLI in a subprocess; its exit code and one-line JSON error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "synq.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=timeout)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return proc.returncode, json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-orbits", "--j", "3", "--p", "1000000007", "--b", "2"],
+    ["build-code", "--qc", "1000000007", "3", "5", "2", "5"],
+])
+def test_order_check_on_a_large_prime_is_immediate(argv):
+    # 3 and 5 do not divide p - 1, so no order is counted up towards p
+    rc, error = _cli_error(argv)
+    assert rc == 2 and "does not have order" in error
+
+
+def test_alist_header_past_the_file_is_a_usage_error(tmp_path):
+    # degree lines claiming n = m = 400,000 and no adjacency lines: the
+    # 149 GiB matrix is never allocated
+    n = 400_000
+    path = tmp_path / "huge.alist"
+    ones = " ".join(["1"] * n)
+    path.write_text(f"{n} {n}\n1 1\n{ones}\n{ones}\n")
+    rc, error = _cli_error(["build-code", "--code", str(path)])
+    assert rc == 2 and "malformed alist file" in error
+
+
 def test_importing_the_package_loads_no_scipy():
     # numpy is the only runtime dependency
     src = Path(__file__).resolve().parent.parent / "src"

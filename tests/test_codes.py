@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec, ball_levels,
+from synq.codes import (TANNER_SPEC, ParityCheckMatrix, QcLdpcSpec,
                         ball_size, bits_to_int, build_qc_ldpc,
                         bits_to_ints, gf2_rank, hamming_ball_syndromes,
-                        int_to_bits, ints_to_bits,
-                        is_prime, load_alist, multiplicative_order,
+                        has_order, int_to_bits, ints_to_bits,
+                        is_prime, load_alist,
                         random_parity_check, save_alist, support)
 from conftest import ball_reference, random_codes, rng_for_tests
 
@@ -223,9 +223,13 @@ def test_qc_spec_validation():
 
 def test_prime_and_order_helpers():
     assert [x for x in range(2, 20) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert multiplicative_order(2, 31) == 5
-    assert multiplicative_order(5, 31) == 3
-    assert multiplicative_order(2, 7) == 3
+    assert has_order(2, 5, 31) and has_order(5, 3, 31) and has_order(2, 3, 7)
+    # 2^5 = 1 mod 31, so 2^15 = 1 too, but the order is 5; 4 does not divide 30
+    assert not has_order(2, 15, 31) and not has_order(2, 4, 31)
+    for p in (2, 3, 5, 7, 11, 13, 31, 61):
+        for a in range(1, p):
+            order = next(k for k in range(1, p) if pow(a, k, p) == 1)
+            assert [k for k in range(-1, p + 2) if has_order(a, k, p)] == [order]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +268,7 @@ def test_ball_budget_guard(tanner):
 def test_ball_walk_matches_the_combinations_reference(hamming, small_qc, data):
     H = data.draw(st.sampled_from([hamming, small_qc]) | random_codes)
     w = data.draw(st.integers(0, min(3, H.n)))
-    ref = ball_reference(H, w)
-    walk = [(s, u, x) for u, syn, pat in ball_levels(H, w) for s, x in zip(syn, pat)]
-    assert walk == ref
-    assert hamming_ball_syndromes(H, w) == {s for s, _, _ in ref}
+    assert hamming_ball_syndromes(H, w) == {s for s, _, _ in ball_reference(H, w)}
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,18 @@ def test_alist_rejects_inconsistent_adjacency(tmp_path, hamming):
     lines[4] = "2"  # column 0 actually attaches to check 1 only
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
+        load_alist(path)
+
+
+def test_alist_allocation_failure_is_a_value_error(tmp_path, hamming, monkeypatch):
+    path = tmp_path / "h.alist"
+    save_alist(hamming, path)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(np, "zeros", exhausted)
+    with pytest.raises(ValueError, match="malformed alist"):
         load_alist(path)
 
 
