@@ -24,6 +24,7 @@ scored: it ends the episode and `SyndromeMdp.step` raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .codes import ParityCheckMatrix
@@ -190,14 +191,68 @@ def episode(env: SyndromeMdp, s0: int, policy: Callable[[int], int]) -> list[Ste
     return steps
 
 
+#: 64-bit words `PhiloxDraws` reads per `random_raw` call
+_BLOCK = 4096
+
+
+class PhiloxDraws:
+    """Scalar `random()` and `integers` over a Philox bit generator's words,
+    read `_BLOCK` at a time with `random_raw`; the values equal those of
+    numpy 2.x `Generator(bitgen)` making the same calls.
+
+    `random()` maps word x to (x >> 11) * 2**-53.  `integers(lo, hi)` (or
+    `integers(hi)`, lo = 0) over r = hi - lo values returns lo for r = 1 and
+    reads nothing; otherwise it reads 32-bit halves, the low half of a word
+    first and its high half at the next read, as Philox's
+    has_uint32/uinteger do.  Lemire's method takes m = half * r, reads
+    again while the low 32 bits of m fall below (2**32 - r) % r, and returns
+    lo + (m >> 32); at r = 2**32 that bound is 0 and the result lo plus one
+    half, as numpy's special case gives.  An empty range or one wider than
+    2**32 raises ValueError.
+    """
+
+    def __init__(self, bitgen):
+        blocks = iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None)
+        self._word = chain.from_iterable(blocks).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        if hi is None:
+            lo, hi = 0, lo
+        r = hi - lo
+        if r == 1:
+            return lo
+        if not 1 < r <= 2**32:
+            raise ValueError(f"integers range [{lo}, {hi}) is empty or wider than 2**32")
+        m = self._uint32() * r
+        if m & 0xFFFFFFFF < r:
+            threshold = (2**32 - r) % r
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * r
+        return lo + (m >> 32)
+
+    def _uint32(self) -> int:
+        x = self._half
+        if x is None:
+            x = self._word()
+            self._half = x >> 32
+            return x & 0xFFFFFFFF
+        self._half = None
+        return x
+
+
 def run_episodes(env: SyndromeMdp, cfg, rng, sampler,
                  greedy: Callable[[int], int], learn,
                  stop: Callable[[int], bool] | None = None) -> None:
     """The epsilon-greedy episode loop both trainers share.
 
-    `cfg` supplies episodes, eps_max, eps_min and check_every.  Episode t
-    explores with epsilon_at(t, ...) and starts at sampler(rng); a terminal
-    start gives no step.  Each of at most L steps draws rng.random(), then
+    `cfg` supplies episodes, eps_max, eps_min and check_every; `rng` is a
+    Generator or a `PhiloxDraws`.  Episode t explores with
+    epsilon_at(t, ...) and starts at sampler(rng); a terminal start gives no
+    step.  Each of at most L steps draws rng.random(), then
     rng.integers(n) only when exploring, else takes greedy(s); it applies
     the transition and the variant's scorer, the ones `SyndromeMdp.step`
     uses, and calls learn(s, a, r, s', terminal) before the next action is

@@ -28,6 +28,7 @@ payload, whose shapes must match sizes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,10 @@ class DqnConfig:
             raise ValueError("episodes and hidden size must be >= 1")
         if self.batch < 1 or self.batch > self.buffer_capacity:
             raise ValueError("need 1 <= batch <= buffer_capacity")
-        if self.lr <= 0 or self.sync_every < 1:
-            raise ValueError("lr must be positive, sync_every >= 1")
+        if not (self.lr > 0 and math.isfinite(self.lr)) or self.sync_every < 1:
+            raise ValueError("lr must be positive and finite, sync_every >= 1")
+        if self.check_every < 0:
+            raise ValueError("check_every must be >= 0 (0 disables)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
@@ -333,7 +336,10 @@ def train_dqn(
 
     Deterministic for a fixed seed.  Raises RuntimeError when the loss goes
     non-finite (training divergence).  `stop_when(net, episode)` is polled
-    every cfg.check_every episodes for early exit.
+    every cfg.check_every episodes for early exit.  Draws come from a numpy
+    Generator, not `mdp.PhiloxDraws`: `ReplayBuffer.sample` calls
+    `rng.choice(replace=False)`, which that stream does not provide, and
+    a step's time goes to gemm and Adam, not to scalar draws.
     """
     H, n, m = env.H, env.H.n, env.H.m
     rng = np.random.Generator(

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import modelfile
 from .codes import ParityCheckMatrix
-from .mdp import SyndromeMdp, run_episodes
+from .mdp import PhiloxDraws, SyndromeMdp, run_episodes
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
+        if self.check_every < 0:
+            raise ValueError("check_every must be >= 0 (0 disables)")
 
 
 class QTable:
@@ -100,7 +102,11 @@ def q_update(Q: QTable, s: int, a: int, r: float, s_next: int,
 
 
 class BallSampler:
-    """Start syndromes from errors of weight uniform in 1..w, support uniform."""
+    """Start syndromes from errors of weight uniform in 1..w, support uniform.
+
+    Called with a Generator or `mdp.PhiloxDraws`; draws only through
+    `integers`, so both give the same syndromes from the same key.
+    """
 
     #: u distinct support bits take prod_{i<u} n/(n-i) tries on average
     MAX_TRIES = 1000
@@ -116,7 +122,7 @@ class BallSampler:
         self.H = H
         self.w = w
 
-    def __call__(self, rng: np.random.Generator) -> int:
+    def __call__(self, rng) -> int:
         u = int(rng.integers(1, self.w + 1))
         while True:
             # u scalar draws take the same values as one size=u draw, faster
@@ -130,14 +136,15 @@ class BallSampler:
 
 
 class SetSampler:
-    """Start syndromes drawn uniformly from a fixed list (e.g. failure set)."""
+    """Start syndromes drawn uniformly from a fixed list (e.g. failure set),
+    with one `integers` draw from a Generator or `mdp.PhiloxDraws`."""
 
     def __init__(self, syndromes):
         self.syndromes = sorted(syndromes)
         if not self.syndromes:
             raise ValueError("empty start-state set")
 
-    def __call__(self, rng: np.random.Generator) -> int:
+    def __call__(self, rng) -> int:
         return self.syndromes[int(rng.integers(len(self.syndromes)))]
 
 
@@ -149,17 +156,20 @@ class SetSampler:
 def train_q(
     env: SyndromeMdp,
     cfg: TrainConfig,
-    sampler: Callable[[np.random.Generator], int],
+    sampler: Callable[[PhiloxDraws], int],
     stop_when: Callable[[QTable, int], bool] | None = None,
 ) -> QTable:
     """Off-policy one-step Q-learning with epsilon-greedy behaviour.
 
-    Deterministic for a fixed seed.  When `stop_when` is given it is polled
-    every cfg.check_every episodes and training stops early once it returns
-    True (the epsilon schedule still spans cfg.episodes).
+    Deterministic for a fixed seed: every draw, the sampler's included,
+    comes from one `mdp.PhiloxDraws` over Philox4x64 keyed
+    (seed mod 2**64, 0x7AB1E), which gives the values a Generator on that
+    key would.  When `stop_when` is given it is polled every
+    cfg.check_every episodes and training stops early once it returns True
+    (the epsilon schedule still spans cfg.episodes).
     """
     H, n = env.H, env.H.n
-    rng = np.random.Generator(
+    rng = PhiloxDraws(
         np.random.Philox(key=np.array([cfg.seed % 2**64, 0x7AB1E], np.uint64))
     )
     Q = QTable(n, H.m, meta={

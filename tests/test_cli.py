@@ -104,6 +104,19 @@ def test_basic_variant_at_radius_zero_is_a_usage_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_dqn_non_finite_lr_is_a_usage_error(tmp_path, capsys, lr):
+    # refused by the config, before any episode: nan used to train until
+    # the first gradient step and then report divergence
+    out = tmp_path / "x.qnet"
+    assert main(["train-dqn", *SMALL, "--variant", "truncated", "--w", "1",
+                 "--episodes", "10", "--lr", lr, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert "lr must be positive and finite" in json.loads(captured.err)["error"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_train_q_writes_model_and_sidecar(small_qtab):
     Q = load_qtable(str(small_qtab))
     assert len(Q) > 0

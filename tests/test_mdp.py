@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synq.codes import ParityCheckMatrix, hamming_ball_syndromes
-from synq.mdp import (EMPTY_SETS, VARIANTS, MdpConfig, SyndromeMdp,
+from synq.mdp import (EMPTY_SETS, VARIANTS, MdpConfig, PhiloxDraws, SyndromeMdp,
                       SyndromeSets, episode, finite_horizon_q, transition)
 from conftest import rng_for_tests
 
@@ -259,3 +259,76 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MdpConfig(variant="truncated")  # needs w
     assert set(VARIANTS) >= {"basic", "truncated", "feedback"}
+
+
+# ---------------------------------------------------------------------------
+# the training stream
+# ---------------------------------------------------------------------------
+
+
+def _philox(seed: int, words=None) -> np.random.Philox:
+    """Philox4x64 keyed (seed, 0x7AB1E); `words` plants its next four outputs."""
+    bitgen = np.random.Philox(key=np.array([seed, 0x7AB1E], np.uint64))
+    if words is not None:
+        state = bitgen.state
+        state["buffer"], state["buffer_pos"] = np.array(words, np.uint64), 0
+        bitgen.state = state
+    return bitgen
+
+
+def _pair(seed: int, words=None):
+    return PhiloxDraws(_philox(seed, words)), np.random.Generator(_philox(seed, words))
+
+
+def _same_next_draw(ours, numpy_rng) -> bool:
+    # a buffered high half shows in integers(2**32), the next word in random()
+    return (ours.integers(2**32) == numpy_rng.integers(2**32)
+            and ours.random() == numpy_rng.random())
+
+
+# ranges numpy's bounded draw treats apart: 1 reads nothing, above 2**30 the
+# Lemire rejection fires often, 2**32 returns a raw 32-bit half
+RANGES = st.one_of(st.sampled_from([1, 2, 155, 12_091, 2**32 - 1, 2**32]),
+                   st.integers(2**30 + 1, 2**32), st.integers(1, 2**32))
+DRAW = st.one_of(st.none(), st.tuples(st.integers(-2**40, 2**40), RANGES,
+                                      st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.lists(DRAW, max_size=60))
+def test_philox_draws_equal_the_generator(seed, draws):
+    ours, numpy_rng = _pair(seed)
+    for draw in draws:
+        if draw is None:
+            assert ours.random() == numpy_rng.random()
+            continue
+        lo, r, from_zero = draw
+        if from_zero:
+            got, want = ours.integers(r), numpy_rng.integers(r)
+        else:
+            got, want = ours.integers(lo, lo + r), numpy_rng.integers(lo, lo + r)
+        assert type(got) is int and got == want
+    assert _same_next_draw(ours, numpy_rng)
+
+
+@pytest.mark.parametrize("r", [3, 155, 12_091, 2**30 + 3, 2**31 + 1, 2**32 - 1])
+def test_philox_draws_rejection_bound_is_exact(r):
+    # plant the two 32-bit halves whose Lemire remainders sit on the bound
+    # t = (2**32 - r) % r: remainder t is accepted, t - 1 rejected
+    t = (2**32 - r) % r
+    inv = pow(r, -1, 2**32)
+    on, below = t * inv % 2**32, (t - 1) * inv % 2**32
+    ours, numpy_rng = _pair(3, [on | below << 32, 2**64 - 1, 12345, 0])
+    assert [ours.integers(r) for _ in range(3)] == \
+        [numpy_rng.integers(r) for _ in range(3)]
+    assert _same_next_draw(ours, numpy_rng)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (5, 4), (0, 2**32 + 1), (-1, 2**32)])
+def test_philox_draws_refuse_empty_and_wide_ranges(lo, hi):
+    ours = PhiloxDraws(_philox(0))
+    with pytest.raises(ValueError):
+        ours.integers(lo, hi)
+    if lo == 0:
+        with pytest.raises(ValueError):
+            ours.integers(hi)

@@ -372,6 +372,14 @@ def test_divergence_raises(hamming):
         train_dqn(env, cfg, BallSampler(hamming, 1))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("check_every", -1),
+])
+def test_dqn_config_refuses_non_finite_lr_and_negative_check_every(field, value):
+    with pytest.raises(ValueError, match=field):
+        DqnConfig(episodes=10, **{field: value})
+
+
 def test_dqn_config_validation():
     with pytest.raises(ValueError):
         DqnConfig(episodes=0)

@@ -3,7 +3,7 @@ import pytest
 
 from synq.codes import hamming_ball_syndromes
 from synq.decoders import greedy_decode
-from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets, epsilon_at
+from synq.mdp import MdpConfig, PhiloxDraws, SyndromeMdp, SyndromeSets, epsilon_at
 from synq.tabular import (BallSampler, QTable, SetSampler, TrainConfig,
                           load_qtable,
                           load_qtable_text, q_update, save_qtable,
@@ -144,6 +144,30 @@ def test_set_sampler():
         SetSampler([])
 
 
+SAMPLERS = {
+    "ball-1": lambda H: BallSampler(H, 1),
+    "ball-2": lambda H: BallSampler(H, 2),
+    "ball-3": lambda H: BallSampler(H, 3),
+    "set-of-one": lambda H: SetSampler([H.cols_int[0]]),
+    "set-of-many": lambda H: SetSampler(hamming_ball_syndromes(H, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_samplers_draw_alike_from_the_stream_and_a_generator(tanner, name):
+    # train_q hands the samplers a PhiloxDraws; they must draw from it what
+    # they draw from a Generator on the same key, and consume as much
+    sampler = SAMPLERS[name](tanner)
+
+    def philox():
+        return np.random.Philox(key=np.array([21, 0x7AB1E], np.uint64))
+    ours, numpy_rng = PhiloxDraws(philox()), np.random.Generator(philox())
+    assert [sampler(ours) for _ in range(10_000)] == \
+        [sampler(numpy_rng) for _ in range(10_000)]
+    assert ours.integers(2**32) == numpy_rng.integers(2**32)
+    assert ours.random() == numpy_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -230,6 +254,13 @@ def test_stop_when_halts_training(hamming):
             CountingSampler(hamming, 1), stop_when=stop)
     assert calls == [100, 200]
     assert len(episodes_seen) == 200
+
+
+def test_train_config_refuses_negative_check_every():
+    # 0 disables polling; a negative value used to poll as its absolute value
+    TrainConfig(episodes=10, check_every=0)
+    with pytest.raises(ValueError, match="check_every"):
+        TrainConfig(episodes=10, check_every=-1)
 
 
 def test_train_config_validation():
