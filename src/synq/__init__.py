@@ -13,7 +13,7 @@ tabular       Q-learning on sparse syndrome tables, the QTAB payload
 neural        from-scratch MLP Q-network, DQN training, the QNET payload
 modelfile     the one model-file container: frame, text twin, checked reader
 decoders      greedy / action-list / bit-flipping / feedback / ensemble
-automorphism  circulant permutation group, orbit counting, canonical forms
+automorphism  the code's automorphism table, orbit counting, canonical forms
 analysis      performance bounds, exhaustive sweeps, syndrome classification
 sim           Monte Carlo FER/BER harness with reproducible parallelism
 cli           the ``synq`` command-line front end

@@ -268,7 +268,7 @@ def enumerate_failures(
     decoder and tally failures and miscorrections per weight.
 
     Bit flipping commutes with the simultaneous cyclic shift of every block
-    of a quasi-cyclic code (`H.qc`, circulant size p; `automorphism.shift_pair`),
+    of a quasi-cyclic code (`H.qc`, circulant size p; `automorphism.group_table`),
     so one representative set per orbit is decoded: the patterns whose top
     set bit M ends its block, colex ranks C(M, w)..C(M+1, w)-1.  One whose
     top block holds c set bits stands for p/c patterns, whatever its orbit's

@@ -1,18 +1,14 @@
 """Automorphisms of quasi-cyclic codes and necklace-orbit machinery.
 
-The check nodes of a (j, k_blocks)-regular quasi-cyclic code form j
-necklaces of p beads each, indexed block-major: bead (s, i) -> s*p + i.
-Two commuting families act on them:
-
-  sigma : (s, i) -> (s, i+1 mod p)        simultaneous rotation
-  rho   : (s, i) -> (s+1 mod j, b*i mod p)  block advance with multiplier
-
-with the relation rho sigma rho^-1 = sigma^b, so G = <sigma, rho> is the
-semidirect product C_p x| C_j of order j*p.  The variable nodes carry the
-mirror-image structure with k_blocks necklaces and multiplier a.
-
-Every code automorphism used here is a matched pair (var, chk) of index
-permutations satisfying syndrome(var(e)) = chk(syndrome(e)).
+A (j, k_blocks)-regular quasi-cyclic code has j check and k_blocks variable
+necklaces of p beads each, indexed block-major: bead (c, i) -> c*p + i.  Its
+group G = <sigma, rho, pi> = C_p x| (C_j x C_k_blocks) acts on both at once:
+sigma^u rho^s pi^t maps variable bead (c, i) to (c+t, b^s a^t i + u) and check
+bead (r, i) to (r+s, b^s a^t i + u).  One closed formula, `_necklace_rows`,
+writes elements as index rows; `group_table` stacks all of G once per code,
+and each matched pair (var, chk), syndrome(var(e)) = chk(syndrome(e)), is one
+of its rows.  On one side alone, C_p x| C_blocks is the group of the orbit
+counts and canonical forms.
 """
 
 from __future__ import annotations
@@ -75,15 +71,16 @@ class IndexPermutation:
         return f"IndexPermutation({self.mapping.tolist()})"
 
 
-def _necklace_perm(blocks: int, p: int, adv: int, mult: int, add: int) -> IndexPermutation:
-    """(c, i) -> (c + adv mod blocks, mult*i + add mod p), block-major."""
-    idx = np.arange(blocks * p)
-    c, i = idx // p, idx % p
-    return IndexPermutation(((c + adv) % blocks) * p + (mult * i + add) % p)
+def _necklace_rows(blocks: int, p: int, adv, mult, add) -> np.ndarray:
+    """(c, i) -> (c + adv mod blocks, mult*i + add mod p), block-major: one
+    row of images per element of the broadcast adv, mult, add (scalars: one)."""
+    c, i = np.divmod(np.arange(blocks * p), p)
+    adv, mult, add = (np.asarray(x, dtype=np.int64)[..., None] for x in (adv, mult, add))
+    return (c + adv) % blocks * p + (mult * i + add) % p
 
 
 # ---------------------------------------------------------------------------
-# the group  C_p x| C_j  of check-side symmetries
+# the group: elements of C_p x| C_j, the code's table and its matched pairs
 # ---------------------------------------------------------------------------
 
 
@@ -117,16 +114,13 @@ class GroupElement:
 
     def check_perm(self) -> IndexPermutation:
         """Action on the j*p check beads: (c, i) -> (c+s, b^s i + u)."""
-        return _necklace_perm(self.j, self.p, self.s, pow(self.b, self.s, self.p), self.u)
+        return IndexPermutation(_necklace_rows(self.j, self.p, self.s,
+                                               pow(self.b, self.s, self.p), self.u))
 
     def variable_perm(self, k_blocks: int) -> IndexPermutation:
         """Matched action on the k_blocks*p variable beads: (t, i) -> (t, b^s i + u)."""
-        return _necklace_perm(k_blocks, self.p, 0, pow(self.b, self.s, self.p), self.u)
-
-
-# ---------------------------------------------------------------------------
-# matched automorphism pairs for a QC parity-check matrix
-# ---------------------------------------------------------------------------
+        return IndexPermutation(_necklace_rows(k_blocks, self.p, 0,
+                                               pow(self.b, self.s, self.p), self.u))
 
 
 @dataclass(frozen=True)
@@ -137,6 +131,25 @@ class AutomorphismPair:
     chk: IndexPermutation
 
 
+@functools.lru_cache(maxsize=16)
+def group_table(spec: QcLdpcSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(var, chk): every element of G as (p*j*k_blocks, n) and (p*j*k_blocks, m)
+    index rows; row (t*j + s)*p + u is sigma^u rho^s pi^t."""
+    p, j, k = spec.p, spec.j, spec.k_blocks
+    t, s, u = (x.ravel() for x in np.indices((k, j, p)))
+    mult = np.array([[pow(spec.a, x, p) * pow(spec.b, y, p) % p for y in range(j)]
+                     for x in range(k)])[t, s]
+    var, chk = _necklace_rows(k, p, t, mult, u), _necklace_rows(j, p, s, mult, u)
+    var.flags.writeable = chk.flags.writeable = False
+    return var, chk
+
+
+def _pair(spec: QcLdpcSpec, u: int = 0, s: int = 0, t: int = 0) -> AutomorphismPair:
+    """The matched pair of sigma^u rho^s pi^t, read from the group table."""
+    row = (t * spec.j + s) * spec.p + u
+    return AutomorphismPair(*(IndexPermutation(side[row]) for side in group_table(spec)))
+
+
 def variable_shift(spec: QcLdpcSpec, delta: int) -> IndexPermutation:
     """Shift every variable necklace by delta: (t, i) -> (t, i + delta)."""
     return shift_pair(spec, delta).var
@@ -144,31 +157,29 @@ def variable_shift(spec: QcLdpcSpec, delta: int) -> IndexPermutation:
 
 def variable_mult(spec: QcLdpcSpec) -> IndexPermutation:
     """pi: (t, i) -> (t+1 mod k_blocks, a*i mod p) on variable nodes."""
-    return _necklace_perm(spec.k_blocks, spec.p, 1, spec.a, 0)
+    return mult_a_pair(spec).var
 
 
 def shift_pair(spec: QcLdpcSpec, delta: int) -> AutomorphismPair:
     """sigma^delta: cyclic shift of all necklaces on both sides by delta."""
-    return element_pair(spec, GroupElement(delta % spec.p, 0, spec.p, spec.j, spec.b))
+    return _pair(spec, u=delta % spec.p)
 
 
 def mult_a_pair(spec: QcLdpcSpec) -> AutomorphismPair:
     """pi paired with its induced check action (s, i) -> (s, a*i)."""
-    return AutomorphismPair(
-        variable_mult(spec), _necklace_perm(spec.j, spec.p, 0, spec.a, 0)
-    )
+    return _pair(spec, t=1 % spec.k_blocks)
 
 
 def mult_b_pair(spec: QcLdpcSpec) -> AutomorphismPair:
     """rho paired with its induced variable action (t, i) -> (t, b*i)."""
-    return element_pair(spec, GroupElement(0, 1 % spec.j, spec.p, spec.j, spec.b))
+    return _pair(spec, s=1 % spec.j)
 
 
 def element_pair(spec: QcLdpcSpec, g: GroupElement) -> AutomorphismPair:
     """Matched pair for a group element sigma^u rho^s of the check-side group."""
     if (g.p, g.j, g.b) != (spec.p, spec.j, spec.b):
         raise ValueError("group element does not match the code spec")
-    return AutomorphismPair(g.variable_perm(spec.k_blocks), g.check_perm())
+    return _pair(spec, u=g.u, s=g.s)
 
 
 def verify_commutation(e: int, pair: AutomorphismPair, H: ParityCheckMatrix) -> bool:
@@ -216,13 +227,12 @@ def _totient(n: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _orbit_index(p: int, blocks: int, mult: int) -> np.ndarray:
-    """Gather indices for the whole orbit of a block-major coloring v.
-
-    Row g is the inverse check_perm mapping of the g-th group element, so
-    v[index] lists the blocks*p members g v of the orbit as its rows.
-    """
-    return np.stack([GroupElement(u, s, p, blocks, mult).check_perm().inverse().mapping
-                     for s in range(blocks) for u in range(p)])
+    """Gather indices for the whole orbit of a block-major coloring v: row
+    s*p + u inverts sigma^u rho^s, (c, i) -> (c - s, m (i - u)) with m =
+    mult^-s = mult^(blocks-s) mod p, so v[index] lists the orbit as rows."""
+    s, u = (x.ravel() for x in np.indices((blocks, p)))
+    m = np.array([pow(mult, blocks - e, p) for e in range(blocks)])[s]
+    return _necklace_rows(blocks, p, -s, m, -u * m)
 
 
 def _lexmin_row(M: np.ndarray) -> int:

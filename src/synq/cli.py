@@ -438,11 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact counts outgrow the 4,300-digit int -> str limit; lifted for this call
+    set_limit = getattr(sys, "set_int_max_str_digits", None) or (lambda _: None)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        set_limit(0)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    finally:
+        set_limit(saved)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ remaining ties, equal value and action, toward the better-ranked parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import xor
 
@@ -231,7 +231,8 @@ def _ensemble(qsrc, Y: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts
     output for each row's winning shift, pulled back into the row's
     coordinates (0 steps where no shift converges).  A shift keeps the flip
     weight, so the winner is picked before the pull-back."""
-    inverse = _inverse_shifts(H.qc, tuple(sorted(set(shifts))))
+    # the group table's row -delta mod p is sigma^-delta, the inverse of sigma^delta
+    inverse = am.group_table(H.qc)[0][-np.array(sorted(set(shifts))) % H.qc.p]
     B, S = len(Y), len(inverse)
     # row b*S + j is word b shifted: its bit i is bit inverse[j, i] of the word
     flips_of_shifted, converged, steps, score, actions = _beam(qsrc, bits_to_ints(
@@ -246,12 +247,6 @@ def _ensemble(qsrc, Y: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts
     if H.syndrome_batch(Y ^ flips)[converged].any():
         raise AssertionError("pulled-back flip set is not a valid correction")
     return flips, converged, np.where(converged, steps[r], 0), score[r], actions
-
-
-@lru_cache(maxsize=None)
-def _inverse_shifts(spec, shifts: tuple) -> np.ndarray:
-    """Row j: the inverse of the variable-side permutation of shift shifts[j]."""
-    return np.array([am.shift_pair(spec, d).var.inverse().mapping for d in shifts])
 
 
 # ---------------------------------------------------------------------------

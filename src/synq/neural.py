@@ -29,7 +29,7 @@ payload, whose shapes must match sizes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -345,17 +345,9 @@ def train_dqn(
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed % 2**64, 0xD62], np.uint64))
     )
-    meta = {
-        "code_hash": H.code_hash,
-        "config": {
-            "episodes": cfg.episodes, "batch": cfg.batch, "lr": cfg.lr,
-            "eps_max": cfg.eps_max, "eps_min": cfg.eps_min,
-            "buffer_capacity": cfg.buffer_capacity,
-            "sync_every": cfg.sync_every, "optimizer": cfg.optimizer,
-            "seed": cfg.seed, "gamma": env.cfg.gamma, "L": env.cfg.L,
-            "variant": env.cfg.variant, "w": env.cfg.w,
-        },
-    }
+    meta = {"code_hash": H.code_hash,  # hidden is in the header's sizes
+            "config": {k: v for k, v in {**asdict(cfg), **asdict(env.cfg)}.items()
+                       if k not in ("check_every", "hidden")}}
     primary = MlpNetwork.init(m, cfg.hidden, n, seed=cfg.seed, meta=meta)
     target = primary.copy()
     params = primary.params()

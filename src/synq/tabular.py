@@ -18,7 +18,7 @@ keys code_hash, n, m, variant and config, and this payload:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -175,12 +175,8 @@ def train_q(
     Q = QTable(n, H.m, meta={
         "code_hash": H.code_hash,
         "variant": env.cfg.variant,
-        "config": {
-            "episodes": cfg.episodes, "alpha": cfg.alpha,
-            "eps_max": cfg.eps_max, "eps_min": cfg.eps_min,
-            "seed": cfg.seed, "gamma": env.cfg.gamma, "L": env.cfg.L,
-            "w": env.cfg.w,
-        },
+        "config": {k: v for k, v in {**asdict(cfg), **asdict(env.cfg)}.items()
+                   if k not in ("check_every", "variant")},  # variant is a header key
     })
     alpha, gamma = cfg.alpha, env.cfg.gamma
     # the lowest argmax of every row training writes (0 when absent), so that

@@ -8,6 +8,7 @@ from synq.automorphism import (GroupElement, IndexPermutation, burnside_count,
                                mult_a_pair, mult_b_pair, shift_pair,
                                variable_mult, variable_shift,
                                verify_commutation)
+from synq.automorphism import _orbit_index, group_table
 from synq.codes import bits_to_int
 from conftest import rng_for_tests
 
@@ -326,3 +327,96 @@ def test_canonical_validation():
         canonical_representative(np.zeros(21, dtype=np.uint8), 7, 3, 3)
     with pytest.raises(ValueError):
         canonical_representative(np.zeros(0, dtype=np.uint8), 7, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the group table of a quasi-cyclic code
+# ---------------------------------------------------------------------------
+
+
+def _generators(spec):
+    """sigma, rho and pi as (variable, check) image tuples, from their bead
+    formulas (c, i) -> (c', i') and independently of the group table."""
+    p, a, b = spec.p, spec.a, spec.b
+
+    def beads(blocks, f):
+        images = (f(c, i) for c in range(blocks) for i in range(p))
+        return tuple(c % blocks * p + i % p for c, i in images)
+
+    def pair(fv, fc):
+        return beads(spec.k_blocks, fv), beads(spec.j, fc)
+
+    return (pair(lambda c, i: (c, i + 1), lambda r, i: (r, i + 1)),
+            pair(lambda c, i: (c, b * i), lambda r, i: (r + 1, b * i)),
+            pair(lambda c, i: (c + 1, a * i), lambda r, i: (r, a * i)))
+
+
+def _closure(gens):
+    """Every product of the generators, by breadth-first search."""
+    identity = tuple(tuple(range(len(side))) for side in gens[0])
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(tuple(gs[i] for i in xs) for gs, xs in zip(g, x))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+CODES = pytest.mark.parametrize("code,order", [("tanner", 465), ("small_qc", 63)])
+
+
+@CODES
+def test_group_table_has_order_pjk_with_distinct_rows(request, code, order):
+    spec = request.getfixturevalue(code).qc
+    var, chk = group_table(spec)
+    assert order == spec.p * spec.j * spec.k_blocks
+    assert var.shape == (order, spec.n) and chk.shape == (order, spec.m)
+    assert (np.sort(var, axis=1) == np.arange(spec.n)).all()
+    assert (np.sort(chk, axis=1) == np.arange(spec.m)).all()
+    assert len(np.unique(np.hstack([var, chk]), axis=0)) == order
+
+
+@CODES
+def test_group_table_is_the_closure_of_sigma_rho_and_pi(request, code, order):
+    spec = request.getfixturevalue(code).qc
+    var, chk = group_table(spec)
+    rows = {(tuple(v), tuple(c)) for v, c in zip(var.tolist(), chk.tolist())}
+    closure = _closure(_generators(spec))
+    assert len(closure) == order and rows == closure
+
+
+@CODES
+def test_every_group_table_row_maps_H_onto_itself(request, code, order):
+    H = request.getfixturevalue(code)
+    for var, chk in zip(*group_table(H.qc)):
+        image = np.empty_like(H.bits)
+        image[np.ix_(chk, var)] = H.bits  # entry (r, c) moves to (chk[r], var[c])
+        assert np.array_equal(image, H.bits)
+
+
+@CODES
+def test_group_table_rows_are_the_orbit_index_inverses(request, code, order):
+    spec = request.getfixturevalue(code).qc
+    p, j, k = spec.p, spec.j, spec.k_blocks
+    var, chk = group_table(spec)
+    # rows (0, s, u) are the first j*p; rows (t, 0, u) are (t*j)*p + u
+    assert np.array_equal(_orbit_index(p, j, spec.b), np.argsort(chk[:j * p], axis=1))
+    no_rho = (np.arange(k)[:, None] * j * p + np.arange(p)).ravel()
+    assert np.array_equal(_orbit_index(p, k, spec.a), np.argsort(var[no_rho], axis=1))
+
+
+@CODES
+def test_sigma_rows_invert_to_the_shift_pair_inverses(request, code, order):
+    spec = request.getfixturevalue(code).qc
+    var, _ = group_table(spec)
+    idx = np.arange(spec.n)
+    for delta in range(spec.p):
+        # the inverse of sigma^delta on the variables: (t, i) -> (t, i - delta)
+        want = idx // spec.p * spec.p + (idx - delta) % spec.p
+        assert np.array_equal(np.argsort(var[delta]), want)
+        assert np.array_equal(shift_pair(spec, delta).var.inverse().mapping, want)

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synq.analysis import count_optimal_policies
+from synq.automorphism import burnside_count
 from synq.cli import main
 from synq.codes import TANNER_SPEC, build_qc_ldpc, load_alist, QcLdpcSpec
 from synq.neural import (MlpNetwork, load_network, load_network_text,
@@ -640,6 +643,20 @@ def test_floor_rejects_impossible_counts(capsys, n, counts, needle):
 def test_policies_command(capsys):
     assert main(["policies", "--n", "3", "--t", "2"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize("argv,exact", [
+    (["policies", "--n", "155", "--t", "3"], lambda: count_optimal_policies(155, 3)),
+    (["count-orbits", "--j", "1", "--p", "14407", "--b", "1"],
+     lambda: burnside_count(1, 14407, 1)),
+])
+def test_exact_counts_past_the_int_str_digit_limit(capsys, argv, exact):
+    # 294,010 and 4,333 digits; Decimal prints an int without the interpreter's
+    # int -> str limit, and main leaves that limit as it found it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == str(decimal.Decimal(exact()))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_guarantee_command(capsys):
