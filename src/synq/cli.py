@@ -342,9 +342,18 @@ def cmd_guarantee(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other error, print
+    one ``{"error": "..."}`` line to stderr and exit 2; its subparsers are
+    of this class too."""
+
+    def error(self, message):
+        print(json.dumps({"error": message}), file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="synq",
-                                 description="RL syndrome decoding toolkit")
+    ap = _Parser(prog="synq", description="RL syndrome decoding toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-code", help="construct a code and report/export it")

@@ -47,9 +47,19 @@ def int_to_bits(x: int, length: int) -> np.ndarray:
 
 
 def bits_to_ints(rows: np.ndarray) -> list[int]:
-    """Pack each row of a 2-D 0/1 matrix into an int, as bits_to_int does."""
+    """Pack each row of a 2-D 0/1 matrix into an int, as bits_to_int does.
+
+    The packed rows, zero-padded to whole 64-bit words (one word when there
+    are no columns), are read as little-endian words; word w of a row holds
+    its bits 64w to 64w + 63.
+    """
     packed = np.packbits(np.asarray(rows) != 0, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    nbytes = packed.shape[1]
+    words = np.pad(packed, ((0, 0), (0, -nbytes % 8 if nbytes else 8))).view("<u8")
+    ints = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        ints = [x | y << 64 * w for x, y in zip(ints, words[:, w].tolist())]
+    return ints
 
 
 def ints_to_bits(xs, length: int) -> np.ndarray:

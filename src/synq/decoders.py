@@ -157,8 +157,10 @@ def action_list_decode(qsrc, s0: int, H: ParityCheckMatrix,
 def _beam(qsrc, roots: list[int], H: ParityCheckMatrix, cfg: BeamConfig):
     """`action_list_decode` from every packed root syndrome at once, all
     beams advancing together as one list of paths grouped by root and in
-    beam order within a root.  Returns (flips, converged, steps, score,
-    actions) per root, the actions of its hit padded with -1."""
+    beam order within a root.  Each depth extends every path by the
+    `_top_k` actions of its Q row, then prunes each root to its k best.
+    Returns (flips, converged, steps, score, actions) per root, the actions
+    of its hit padded with -1."""
     tail = np.array(roots, dtype=object)
     converged, steps, score = tail == 0, np.zeros(tail.size, np.int64), np.zeros(tail.size)
     actions = np.empty((tail.size, 0), dtype=np.intp)
@@ -173,7 +175,7 @@ def _beam(qsrc, roots: list[int], H: ParityCheckMatrix, cfg: BeamConfig):
         steps[root] = depth
         top, val = [], []
         for q in _q_chunks(qsrc, tail.tolist()):
-            top.append(np.argsort(-q, axis=1, kind="stable")[:, :cfg.k])
+            top.append(_top_k(q, cfg.k))
             val.append(np.take_along_axis(q, top[-1], axis=1))
         top, val = np.concatenate(top), np.concatenate(val)
         parent, j = np.nonzero(val > value[:, None])
@@ -194,6 +196,22 @@ def _beam(qsrc, roots: list[int], H: ParityCheckMatrix, cfg: BeamConfig):
     r, c = np.nonzero(actions >= 0)
     np.bitwise_xor.at(flips, (r, actions[r, c]), 1)
     return flips, converged, steps, score, actions
+
+
+def _top_k(q: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of ``np.argsort(-q, axis=1, kind="stable")``
+    for a 2-D q whose rows are finite: each row's k largest entries, ties
+    (-0.0 and 0.0 among them) toward the lower index.  Each of the
+    min(k, n) argmax passes masks its picks with -inf in a copy of q, so
+    the Q-source's rows are never written."""
+    if k == 1:
+        return q.argmax(axis=1)[:, None]
+    q, rows = q.copy(), np.arange(len(q))
+    top = np.empty((len(q), min(k, q.shape[1])), dtype=np.intp)
+    for j in range(top.shape[1]):
+        top[:, j] = q.argmax(axis=1)
+        q[rows, top[:, j]] = -np.inf
+    return top
 
 
 def _result(s0: int, found, H: ParityCheckMatrix) -> DecodeResult:
@@ -375,16 +393,20 @@ class Decoder:
         """Decode each row of a (B, n) uint8 error matrix.
 
         Returns (flips (B, n) uint8, converged (B,) bool, steps (B,) int),
-        row b equal to what calling the decoder on row b gives.  Rows with
-        a zero syndrome are done before any decoder runs; the others go in
-        groups of at most Q_CHUNK beam roots, which bounds the paths held.
+        row b equal to what calling the decoder on row b gives.  Syndromes
+        are computed only for the rows with a set bit, and the rows with a
+        zero syndrome (zero rows and codewords) are done before any decoder
+        runs; the others go in groups of at most Q_CHUNK beam roots, which
+        bounds the paths held.
         """
         E = np.ascontiguousarray(E, dtype=np.uint8)
         if E.ndim != 2 or E.shape[1] != self.H.n:
             raise ValueError("error patterns must be (B, n)")
         flips, converged, steps = np.zeros_like(E), np.ones(len(E), bool), np.zeros(len(E), int)
-        S = self.H.syndrome_batch(E)
-        nonzero = np.flatnonzero(S.any(axis=1))
+        nonzero = np.flatnonzero(E.any(axis=1))
+        S = self.H.syndrome_batch(E[nonzero])
+        keep = S.any(axis=1)
+        nonzero, S = nonzero[keep], S[keep]
         group = max(1, Q_CHUNK // self.H.qc.p) if self.kind == "auto-list" else Q_CHUNK
         for lo in range(0, nonzero.size, group):
             rows = nonzero[lo:lo + group]
@@ -392,9 +414,9 @@ class Decoder:
             if self.kind == "bf":
                 out = bf_decode_batch(Y, self.H, self.bf)
             elif self.kind in ("greedy", "feedback"):
-                out = self._policy_batch(Y, bits_to_ints(S[rows]))
+                out = self._policy_batch(Y, bits_to_ints(S[lo:lo + group]))
             elif self.kind == "list":
-                out = _beam(self.qsrc, bits_to_ints(S[rows]), self.H, self.beam)
+                out = _beam(self.qsrc, bits_to_ints(S[lo:lo + group]), self.H, self.beam)
             else:
                 out = _ensemble(self.qsrc, Y, self.H, self.beam, range(self.H.qc.p))
             flips[rows], converged[rows], steps[rows] = out[:3]

@@ -690,6 +690,33 @@ def test_missing_subcommand_is_usage_error():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "abc"],
+    ["simulate", "--decoder", "nope"],
+    ["floor"],  # --n and --rho missing
+    ["canonicalize", "--b", "1"],  # --blocks or --bits
+    [],
+])
+def test_argument_errors_print_one_json_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def test_argument_errors_print_one_json_line_from_the_module():
+    rc, error = _cli_error(["simulate", "--k", "abc"])
+    assert rc == 2 and "--k" in error
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["floor", "--help"])
+    assert exit_.value.code == 0 and "usage: synq floor" in capsys.readouterr().out
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(

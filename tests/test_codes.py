@@ -93,6 +93,20 @@ def test_batch_unpacking_matches_rows(width_and_values):
     assert packed == xs and all(type(x) is int for x in packed)
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 93, 128, 155, 200])
+@pytest.mark.parametrize("count", [0, 1, 6])
+def test_bits_to_ints_by_word_matches_the_per_row_packing(width, count):
+    rows = rng_for_tests(width * 10 + count).integers(0, 2, size=(count, width),
+                                                     dtype=np.uint8)
+    rows[:count // 2, -1] = 1  # the top bit, in the last (partial) word
+    rows[:1] = 1
+    want = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in rows]
+    got = bits_to_ints(rows)
+    assert got == want and all(type(x) is int for x in got)
+    assert ints_to_bits(got, width).tolist() == rows.tolist()
+
+
 @given(WIDTHS, st.data())
 def test_batch_unpacking_rejects_values_that_do_not_fit(n, data):
     bad = data.draw(st.one_of(st.integers(max_value=-1),

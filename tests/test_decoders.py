@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from synq.channel import BscConfig, sample_errors
-from synq.codes import bits_to_int, random_parity_check
+from synq.codes import bits_to_int, int_to_bits, random_parity_check
 from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            DecodeResult, Decoder, ZeroQ, action_list_decode,
                            automorphism_list_decode, bf_decode_batch,
-                           bit_flipping_decode, feedback_decode, greedy_decode)
+                           bit_flipping_decode, feedback_decode, greedy_decode,
+                           _top_k)
 from synq.neural import MlpNetwork
 from conftest import (ball_reference, beam_reference, bf_batch_reference,
                       ensemble_reference, rng_for_tests)
@@ -210,6 +212,27 @@ def test_beam_ties_below_the_root(hamming, from_tail3, d_max, actions):
     res = action_list_decode(FakeQ(7, table), 7, hamming, BeamConfig(k=2, d_max=d_max))
     assert res.converged and res.path.actions == actions and res.path.verify(hamming)
     assert res.steps == len(actions)
+
+
+#: few distinct values, so that rows tie heavily, -0.0 and 0.0 among them
+TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(B=st.sampled_from([0, 1, 2, 7]), n=st.sampled_from([1, 2, 5, 12, 155]),
+       dtype=st.sampled_from([np.float32, np.float64]), equal_rows=st.booleans(),
+       data=st.data())
+def test_top_k_is_the_stable_argsort_prefix(B, n, dtype, equal_rows, data):
+    elements = st.one_of(TIED, st.floats(-1e6, 1e6, width=32))
+    q = data.draw(hnp.arrays(dtype, (B, n), elements=elements))
+    if equal_rows:
+        q[:] = q[:, :1]
+    source = q.copy()
+    for k in (1, 2, 5, n, n + 45):
+        want = np.argsort(-source, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(_top_k(q, k), want)
+        # the Q-source's rows are left as they were, signs of zero included
+        assert np.array_equal(q, source) and (np.signbit(q) == np.signbit(source)).all()
 
 
 def test_beam_depth_cap(hamming):
@@ -531,6 +554,29 @@ def test_decode_batch_matches_the_scalar_decoder(small_qc, tanner, code, source,
             want = decoder(bits_to_int(e))
             assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
                 want.flips, want.converged, want.steps), (kind, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_decode_batch_zero_and_codeword_rows_take_no_step(hamming, small_qc, kind):
+    # 0b111 is a Hamming codeword; and in small_qc every check has one bit
+    # in each column block, so two whole blocks make a codeword
+    block_pair = bits_to_int([1] * 2 * small_qc.qc.p)
+    for H, codeword in ((hamming, 0b111), (small_qc, block_pair)):
+        if kind == "auto-list" and H.qc is None:
+            continue
+        assert codeword and H.syndrome(codeword) == 0
+        E = sample_errors(BscConfig(0.15, 3), H.n, 0, 12)
+        E[[0, 5, 9]] = 0
+        E[[2, 7, 10]] = int_to_bits(codeword, H.n)
+        assert H.syndrome_batch(E).any(axis=1).sum() >= 3  # some rows carry an error
+        decoder = Decoder(kind, RandomQ(H.n, 1), H)
+        flips, converged, steps = decoder.decode_batch(E)
+        for b, e in enumerate(E):
+            want = decoder(bits_to_int(e))
+            assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
+                want.flips, want.converged, want.steps), (kind, b)
+            if b in (0, 2, 5, 7, 9, 10):
+                assert (want.flips, want.converged, want.steps) == (0, True, 0)
 
 
 def test_decode_batch_shape_validation(hamming):
