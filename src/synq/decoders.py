@@ -249,8 +249,8 @@ def _ensemble(qsrc, Y: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts
     output for each row's winning shift, pulled back into the row's
     coordinates (0 steps where no shift converges).  A shift keeps the flip
     weight, so the winner is picked before the pull-back."""
-    # the group table's row -delta mod p is sigma^-delta, the inverse of sigma^delta
-    inverse = am.group_table(H.qc)[0][-np.array(sorted(set(shifts))) % H.qc.p]
+    # sigma^-delta, the inverse of sigma^delta, without building the whole group
+    inverse = am._necklace_rows(H.qc.k_blocks, H.qc.p, 0, 1, -np.array(sorted(set(shifts))))
     B, S = len(Y), len(inverse)
     # row b*S + j is word b shifted: its bit i is bit inverse[j, i] of the word
     flips_of_shifted, converged, steps, score, actions = _beam(qsrc, bits_to_ints(
@@ -359,8 +359,9 @@ class Decoder:
     decodes the rows of a (B, n) matrix with row-for-row the same flips,
     convergence and steps.  feedback runs at most beam.d_max passes of bf,
     each failed pass followed by one policy flip; greedy is that loop
-    without bf.  list and auto-list search with beam, and auto-list's path
-    is in y's coordinates.
+    without bf, and in a batch both skip the passes of a detected cycle.
+    list and auto-list search with beam, and auto-list's path is in y's
+    coordinates.
     """
 
     kind: str
@@ -425,26 +426,41 @@ class Decoder:
     def _policy_batch(self, Y: np.ndarray, ss: list[int]):
         """greedy_decode, or feedback_decode, over rows Y with packed syndromes ss.
 
-        Each pass adds a step to every live row.  For feedback it then runs
-        bf_decode_batch on the live rows, each y plus its policy flips so far,
-        and retires the rows it corrects.  Every row still live flips its
-        argmax-Q bit."""
+        Pass t sets every live row's step to t.  For feedback it then runs
+        bf_decode_batch on the live rows not caught in a cycle, each y plus
+        its policy flips so far, and retires the rows it corrects.  Every row
+        still live flips its argmax-Q bit.  A pass is a function of the policy
+        flips alone, so flips after pass t equal to those saved after pass s
+        (0, then 2, 4, 8, ...) repeat with a period dividing t - s, never
+        retiring: bf has failed on every word of the cycle and is not run on
+        it again, and the passes left shrink mod t - s.  A row that runs out
+        of passes ends unconverged at d_max steps."""
         cols, ss = np.array(self.H.cols_int, dtype=object), np.array(ss, dtype=object)
         # the policy flips, then feedback's inner ones
-        flips, converged, steps = np.zeros_like(Y), np.ones(len(Y), bool), np.zeros(len(Y), int)
-        live = np.arange(len(Y))
-        for _ in range(self.beam.d_max):
-            steps[live] += 1
+        flips, converged, steps = np.zeros_like(Y), np.zeros(len(Y), bool), np.zeros(len(Y), int)
+        live, left, cycling = np.arange(len(Y)), np.full(len(Y), self.beam.d_max), converged.copy()
+        saved, s = flips.copy(), 0  # the policy flips after pass s, by row
+        for t in range(1, self.beam.d_max + 1):
+            steps[live] = t
+            left[live] -= 1
             if self.kind == "feedback":
-                inner, ok, _ = bf_decode_batch(Y[live] ^ flips[live], self.H, self.bf)
-                flips[live[ok]] ^= inner[ok]
-                live = live[~ok]
+                run = live[~cycling[live]]
+                inner, ok, _ = bf_decode_batch(Y[run] ^ flips[run], self.H, self.bf)
+                flips[run[ok]] ^= inner[ok]
+                converged[run[ok]] = True
+                live = live[~converged[live]]
             acts = np.concatenate([q.argmax(axis=1) for q in
                                    _q_chunks(self.qsrc, ss[live].tolist())])
             flips[live, acts] ^= 1
             ss[live] ^= cols[acts]
-            live = live[ss[live] != 0]
+            converged[live] = ss[live] == 0
+            live = live[~converged[live]]
+            again = live[(flips[live] == saved[live]).all(axis=1)]
+            cycling[again], left[again] = True, left[again] % (t - s)
+            if t >= 2 and not t & (t - 1):
+                saved[live], s = flips[live], t
+            live = live[left[live] > 0]
             if not live.size:
                 break
-        converged[live] = False
+        steps[~converged] = self.beam.d_max
         return flips, converged, steps

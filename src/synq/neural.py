@@ -138,8 +138,11 @@ class MlpNetwork:
         X = np.zeros((-(-k // BLOCK) * BLOCK, self.m))
         X[:k] = ints_to_bits(states, self.m)
         X = X.reshape(-1, BLOCK, self.m)
-        h = np.maximum(np.matmul(X, self.W1.T) + self.b1, 0.0)
-        return (np.matmul(h, self.W2.T) + self.b2).reshape(-1, self.n)[:k]
+        h = np.matmul(X, self.W1.T)
+        h += self.b1
+        q = np.matmul(np.maximum(h, 0.0, out=h), self.W2.T)
+        q += self.b2
+        return q.reshape(-1, self.n)[:k]
 
 
 # ---------------------------------------------------------------------------

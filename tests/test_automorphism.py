@@ -8,7 +8,7 @@ from synq.automorphism import (GroupElement, IndexPermutation, burnside_count,
                                mult_a_pair, mult_b_pair, shift_pair,
                                variable_mult, variable_shift,
                                verify_commutation)
-from synq.automorphism import _orbit_index, group_table
+from synq.automorphism import _necklace_rows, _orbit_index, group_table
 from synq.codes import bits_to_int
 from conftest import rng_for_tests
 
@@ -420,3 +420,13 @@ def test_sigma_rows_invert_to_the_shift_pair_inverses(request, code, order):
         want = idx // spec.p * spec.p + (idx - delta) % spec.p
         assert np.array_equal(np.argsort(var[delta]), want)
         assert np.array_equal(shift_pair(spec, delta).var.inverse().mapping, want)
+
+
+@CODES
+def test_necklace_inverse_shifts_are_the_group_tables_sigma_rows(request, code, order):
+    # the auto-list ensemble reads sigma^-delta from the necklace formula;
+    # it is the group table's row -delta mod p
+    spec = request.getfixturevalue(code).qc
+    deltas = np.arange(spec.p)
+    assert np.array_equal(_necklace_rows(spec.k_blocks, spec.p, 0, 1, -deltas),
+                          group_table(spec)[0][-deltas % spec.p])

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from synq import decoders
+from synq.automorphism import group_table
 from synq.channel import BscConfig, sample_errors
 from synq.codes import bits_to_int, int_to_bits, random_parity_check
 from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
@@ -12,6 +14,7 @@ from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            bit_flipping_decode, feedback_decode, greedy_decode,
                            _top_k)
 from synq.neural import MlpNetwork
+from synq.tabular import QTable
 from conftest import (ball_reference, beam_reference, bf_batch_reference,
                       ensemble_reference, rng_for_tests)
 
@@ -649,3 +652,95 @@ def test_one_beam_matches_the_references(small_qc, source, seed, k, d_max, words
             else:
                 want = ensemble_reference(qsrc, y, H, cfg, range(H.qc.p))
             assert (bool(converged[b]), bits_to_int(flips[b]), int(steps[b])) == want[:3]
+
+
+# ---------------------------------------------------------------------------
+# the policy loop's cycle fast-forward
+# ---------------------------------------------------------------------------
+
+
+def _few_rows_table(H, seed, rows):
+    """A QTable holding random rows for `rows` syndromes of weight <= 2
+    errors; every other syndrome reads zeros, whose argmax is bit 0."""
+    rng = rng_for_tests(seed)
+    table = QTable(H.n, H.m)
+    for _ in range(rows):
+        s = H.syndrome(sum(1 << int(i) for i in rng.choice(H.n, rng.integers(1, 3))))
+        table.row(s)[:] = rng.standard_normal(H.n)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=st.sampled_from(["small_qc", "tanner"]),
+       source=st.sampled_from(["zero", "random", "table"]), seed=st.integers(0, 2**16),
+       B=st.integers(1, 8), rho=st.sampled_from([0.02, 0.1, 0.25]),
+       d_max=st.integers(1, 20), tau=st.integers(1, 3), max_iter=st.integers(1, 8))
+@example(code="tanner", source="zero", seed=0, B=8, rho=0.02, d_max=20, tau=2,
+         max_iter=8)
+@example(code="small_qc", source="table", seed=3, B=8, rho=0.1, d_max=17, tau=2,
+         max_iter=3)
+def test_policy_batch_cycle_fast_forward_matches_the_scalar_loop(
+        small_qc, tanner, code, source, seed, B, rho, d_max, tau, max_iter):
+    # greedy and feedback rows that cycle stop early in the batch; each
+    # row's flips, convergence and steps must still be the scalar loop's
+    H = small_qc if code == "small_qc" else tanner
+    qsrc = {"zero": lambda: ZeroQ(H.n), "random": lambda: RandomQ(H.n, seed),
+            "table": lambda: _few_rows_table(H, seed, 12)}[source]()
+    E = sample_errors(BscConfig(rho, seed), H.n, 0, B)
+    for kind in ("greedy", "feedback"):
+        decoder = Decoder(kind, qsrc, H, BeamConfig(d_max=d_max),
+                          BitFlipConfig(tau, max_iter))
+        flips, converged, steps = decoder.decode_batch(E)
+        for b, e in enumerate(E):
+            want = decoder(bits_to_int(e))
+            assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
+                want.flips, want.converged, want.steps), (kind, b)
+
+
+def test_feedback_runs_no_bf_on_a_caught_cycle(tanner, monkeypatch):
+    # ZeroQ flips bit 0 on every pass, so the policy flips after pass 2
+    # equal those after pass 0: bf runs on passes 1 and 2 only
+    y = bits_to_int([1 if i in (2, 5, 31) else 0 for i in range(tanner.n)])
+    assert not any(bit_flipping_decode(x, tanner).converged for x in (y, y ^ 1))
+    seen = []
+
+    def recording(X, H, cfg):
+        seen.append([bits_to_int(row) for row in X])
+        return bf_decode_batch(X, H, cfg)
+
+    monkeypatch.setattr(decoders, "bf_decode_batch", recording)
+    decoder = Decoder("feedback", ZeroQ(tanner.n), tanner, BeamConfig(d_max=10))
+    flips, converged, steps = decoder.decode_batch(int_to_bits(y, tanner.n)[None])
+    assert seen == [[y], [y ^ 1]]
+    assert (bits_to_int(flips[0]), bool(converged[0]), int(steps[0])) == (0, False, 10)
+    want = decoder(y)
+    assert (want.flips, want.converged, want.steps) == (0, False, 10)
+
+
+def test_feedback_keeps_running_bf_on_rows_outside_a_cycle(tanner):
+    # row 0 is caught in a 2-cycle at pass 2; row 1 is steered by two
+    # policy flips from {1, 3, 4} to {1}, which bf corrects on pass 3
+    E = np.zeros((2, tanner.n), dtype=np.uint8)
+    E[0, [2, 5, 31]] = E[1, [1, 3, 4]] = 1
+    policy = FakeQ(tanner.n, {tanner.syndrome(0b11010): np.eye(tanner.n)[4],
+                              tanner.syndrome(0b1010): np.eye(tanner.n)[3]})
+    assert not any(bit_flipping_decode(x, tanner).converged for x in (0b11010, 0b1010))
+    decoder = Decoder("feedback", policy, tanner, BeamConfig(d_max=10))
+    flips, converged, steps = decoder.decode_batch(E)
+    assert converged.tolist() == [False, True] and steps.tolist() == [10, 3]
+    assert bits_to_int(flips[1]) == 0b11010
+    for b, e in enumerate(E):
+        want = decoder(bits_to_int(e))
+        assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
+            want.flips, want.converged, want.steps)
+
+
+def test_auto_list_builds_no_group_table(small_qc):
+    # the ensemble's inverse shifts come from the necklace formula, so
+    # decoding never builds the code's whole automorphism group
+    group_table.cache_clear()
+    qsrc = OneHotQ(small_qc)
+    automorphism_list_decode(qsrc, 1 << 9, small_qc)
+    Decoder("auto-list", qsrc, small_qc).decode_batch(
+        sample_errors(BscConfig(0.1, 5), small_qc.n, 0, 6))
+    assert group_table.cache_info().currsize == 0
