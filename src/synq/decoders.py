@@ -11,6 +11,13 @@ Decoders flip one code bit per action; the flip set is returned packed.
 `Decoder` runs any of the `KINDS` as one picklable callable, one packed word
 at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.
 
+The batch loops iterate on each row's syndrome and its flips grown from
+zero, and a step of bit flipping or of a policy pass is a function of the
+flips alone.  They share one cycle rule: every live row's flips are saved
+after steps 0, 2, 4, 8, ..., and a row whose flips after step t equal those
+saved after step s has stepped through a whole period of t - s without
+stopping, so it never stops, and its steps left shrink mod t - s.
+
 All tie-breaks resolve toward the lower action index; beams break the
 remaining ties, equal value and action, toward the better-ranked parent.
 """
@@ -81,12 +88,6 @@ class ZeroQ:
 
     def q_values_batch(self, states: list[int]) -> np.ndarray:
         return np.zeros((len(states), self.n))
-
-
-def _q_chunks(qsrc, states: list[int]):
-    """The Q rows of states, Q_CHUNK at a time; one empty block if none."""
-    for lo in range(0, len(states) or 1, Q_CHUNK):
-        yield qsrc.q_values_batch(states[lo:lo + Q_CHUNK])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,8 @@ def _beam(qsrc, roots: list[int], H: ParityCheckMatrix, cfg: BeamConfig):
             break
         steps[root] = depth
         top, val = [], []
-        for q in _q_chunks(qsrc, tail.tolist()):
+        for lo in range(0, tail.size, Q_CHUNK):
+            q = qsrc.q_values_batch(tail[lo:lo + Q_CHUNK].tolist())
             top.append(_top_k(q, cfg.k))
             val.append(np.take_along_axis(q, top[-1], axis=1))
         top, val = np.concatenate(top), np.concatenate(val)
@@ -229,9 +231,9 @@ def automorphism_list_decode(qsrc, y: int, H: ParityCheckMatrix,
                              cfg: BeamConfig = BeamConfig(), shifts=None) -> DecodeResult:
     """Beam-decode every cyclically shifted copy of y and keep the best.
 
-    One beam searches all shifted words.  Among converged shifts the
-    minimum-weight flip set wins (ties: smallest delta), and only the winner
-    is pulled back: its flips and its beam path, which walks y's syndromes.
+    One beam searches the shifted copies' syndromes.  Among converged shifts
+    the minimum-weight flip set wins (ties: smallest delta), and only the
+    winner is pulled back: its flips and its beam path, which walks y's syndromes.
     """
     if H.qc is None:
         raise ValueError("automorphism decoding needs a quasi-cyclic code")
@@ -241,28 +243,32 @@ def automorphism_list_decode(qsrc, y: int, H: ParityCheckMatrix,
         return action_list_decode(qsrc, 0, H, cfg)
     if not shifts:
         return DecodeResult(False, 0, s, 0)
-    return _result(s, _ensemble(qsrc, int_to_bits(y, H.n)[None], H, cfg, shifts), H)
+    return _result(s, _ensemble(qsrc, int_to_bits(s, H.m)[None], H, cfg, shifts), H)
 
 
-def _ensemble(qsrc, Y: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts):
-    """automorphism_list_decode over the rows of a (B, n) word matrix: `_beam`'s
-    output for each row's winning shift, pulled back into the row's
-    coordinates (0 steps where no shift converges).  A shift keeps the flip
-    weight, so the winner is picked before the pull-back."""
-    # sigma^-delta, the inverse of sigma^delta, without building the whole group
-    inverse = am._necklace_rows(H.qc.k_blocks, H.qc.p, 0, 1, -np.array(sorted(set(shifts))))
-    B, S = len(Y), len(inverse)
-    # row b*S + j is word b shifted: its bit i is bit inverse[j, i] of the word
-    flips_of_shifted, converged, steps, score, actions = _beam(qsrc, bits_to_ints(
-        H.syndrome_batch(Y[:, inverse].reshape(B * S, H.n))), H, cfg)
-    weight = np.where(converged, flips_of_shifted.sum(axis=1), H.n + 1).reshape(B, S)
+def _ensemble(qsrc, S: np.ndarray, H: ParityCheckMatrix, cfg: BeamConfig, shifts):
+    """automorphism_list_decode over the rows of a (B, m) syndrome matrix:
+    `_beam`'s output for each row's winning shift, pulled back into the
+    row's coordinates (0 steps where no shift converges).  The syndrome of
+    sigma^delta(e) is sigma^delta's check permutation of e's syndrome, so
+    the beam roots are read off S without a shifted word.  A shift keeps
+    the flip weight, so the winner is picked before the pull-back."""
+    # the sigma^-delta pairs, inverse to sigma^delta, without the whole group
+    var, chk = (am._necklace_rows(blocks, H.qc.p, 0, 1, -np.array(sorted(set(shifts))))
+                for blocks in (H.qc.k_blocks, H.qc.j))
+    B, P = len(S), len(var)
+    # root b*P + j is the syndrome of word b shifted by delta j: its check i
+    # is check chk[j, i] of the word's syndrome, as its bit i is bit var[j, i]
+    flips_of_shifted, converged, steps, score, actions = _beam(
+        qsrc, bits_to_ints(S[:, chk].reshape(B * P, H.m)), H, cfg)
+    weight = np.where(converged, flips_of_shifted.sum(axis=1), H.n + 1).reshape(B, P)
     win = weight.argmin(axis=1)  # the first minimum, at the smallest delta
-    r = np.arange(B) * S + win
+    r = np.arange(B) * P + win
     actions = np.where(actions[r] >= 0, np.take_along_axis(
-        inverse[win], np.maximum(actions[r], 0), axis=1), -1)
-    flips, converged = np.zeros_like(Y), converged[r]
-    np.put_along_axis(flips, inverse[win], flips_of_shifted[r], axis=1)
-    if H.syndrome_batch(Y ^ flips)[converged].any():
+        var[win], np.maximum(actions[r], 0), axis=1), -1)
+    flips, converged = np.zeros((B, H.n), dtype=np.uint8), converged[r]
+    np.put_along_axis(flips, var[win], flips_of_shifted[r], axis=1)
+    if (H.syndrome_batch(flips) != S)[converged].any():
         raise AssertionError("pulled-back flip set is not a valid correction")
     return flips, converged, np.where(converged, steps[r], 0), score[r], actions
 
@@ -311,35 +317,31 @@ def bf_decode_batch(
     """Vectorized bit_flipping_decode over a (B, n) uint8 pattern matrix.
 
     Returns (flips, converged, iterations); row semantics identical to the
-    scalar routine.  The live rows advance together, each word saved after
-    iterations 0, 1, 2, 4, 8 and 16 (Brent's cycle finding).  A word after
-    iteration t equal to the one saved after iteration s repeats with a
-    period dividing P = t - s on words with nonzero syndrome and flip set,
-    never converging or stalling, so its remaining iterations shrink mod P.
+    scalar routine, whose syndrome and flips every live row carries.  The
+    rows advance together under the module's cycle rule.
     """
     X = np.ascontiguousarray(patterns, dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != H.n:
         raise ValueError("patterns must be (B, n)")
-    flips, converged = np.zeros_like(X), np.zeros(len(X), bool)
-    iters = np.zeros(len(X), dtype=np.int32)
-    # the live rows: index, word, syndrome, iterations left, word after s
-    row, W, S = np.arange(len(X)), X.copy(), H.syndrome_batch(X)
-    left, saved, s, t = np.full(len(X), cfg.max_iter), np.packbits(X, axis=1), 0, 0
+    flips, converged, iters = np.zeros_like(X), np.zeros(len(X), bool), np.zeros(len(X), np.int32)
+    # the live rows: index, syndrome, flips, iterations left, packed flips after s
+    row, S, F = np.arange(len(X)), H.syndrome_batch(X), flips.copy()
+    left, saved, s, t = np.full(len(X), cfg.max_iter), np.packbits(F, axis=1), 0, 0
     while row.size:
         flip = S.astype(np.float32) @ H._HT.T >= cfg.tau
         done = (left == 0) | ~S.any(axis=1) | ~flip.any(axis=1)
         if done.any():
             r = row[done]
-            flips[r], converged[r] = W[done] ^ X[r], ~S[done].any(axis=1)
+            flips[r], converged[r] = F[done], ~S[done].any(axis=1)
             iters[r] = cfg.max_iter - left[done]
-            row, W, flip, left, saved = (v[~done] for v in (row, W, flip, left, saved))
-        W ^= flip
+            row, S, F, flip, left, saved = (v[~done] for v in (row, S, F, flip, left, saved))
+        F ^= flip
+        S ^= H.syndrome_batch(flip)
         left, t = left - 1, t + 1
-        packed = np.packbits(W, axis=1)
+        packed = np.packbits(F, axis=1)
         left[(packed == saved).all(axis=1)] %= t - s
-        if t in (1, 2, 4, 8, 16):
+        if t >= 2 and not t & (t - 1):
             saved, s = packed, t
-        S = H.syndrome_batch(W)
     return flips, converged, iters
 
 
@@ -359,9 +361,9 @@ class Decoder:
     decodes the rows of a (B, n) matrix with row-for-row the same flips,
     convergence and steps.  feedback runs at most beam.d_max passes of bf,
     each failed pass followed by one policy flip; greedy is that loop
-    without bf, and in a batch both skip the passes of a detected cycle.
-    list and auto-list search with beam, and auto-list's path is in y's
-    coordinates.
+    without bf.  list and auto-list search with beam, and auto-list's path
+    is in y's coordinates.  In a batch, bit flipping (bf and feedback's
+    inner decoder) alone reads words; all else starts from the syndromes.
     """
 
     kind: str
@@ -410,37 +412,35 @@ class Decoder:
         nonzero, S = nonzero[keep], S[keep]
         group = max(1, Q_CHUNK // self.H.qc.p) if self.kind == "auto-list" else Q_CHUNK
         for lo in range(0, nonzero.size, group):
-            rows = nonzero[lo:lo + group]
-            Y = E[rows]
+            rows, S_rows = nonzero[lo:lo + group], S[lo:lo + group]
             if self.kind == "bf":
-                out = bf_decode_batch(Y, self.H, self.bf)
+                out = bf_decode_batch(E[rows], self.H, self.bf)
             elif self.kind in ("greedy", "feedback"):
-                out = self._policy_batch(Y, bits_to_ints(S[lo:lo + group]))
+                out = self._policy_batch(S_rows, E[rows] if self.kind == "feedback" else None)
             elif self.kind == "list":
-                out = _beam(self.qsrc, bits_to_ints(S[lo:lo + group]), self.H, self.beam)
+                out = _beam(self.qsrc, bits_to_ints(S_rows), self.H, self.beam)
             else:
-                out = _ensemble(self.qsrc, Y, self.H, self.beam, range(self.H.qc.p))
+                out = _ensemble(self.qsrc, S_rows, self.H, self.beam, range(self.H.qc.p))
             flips[rows], converged[rows], steps[rows] = out[:3]
         return flips, converged, steps
 
-    def _policy_batch(self, Y: np.ndarray, ss: list[int]):
-        """greedy_decode, or feedback_decode, over rows Y with packed syndromes ss.
+    def _policy_batch(self, S: np.ndarray, Y: np.ndarray | None):
+        """greedy_decode over at most Q_CHUNK rows of (B, m) syndromes S, or
+        feedback_decode over them and their words Y.
 
         Pass t sets every live row's step to t.  For feedback it then runs
         bf_decode_batch on the live rows not caught in a cycle, each y plus
         its policy flips so far, and retires the rows it corrects.  Every row
-        still live flips its argmax-Q bit.  A pass is a function of the policy
-        flips alone, so flips after pass t equal to those saved after pass s
-        (0, then 2, 4, 8, ...) repeat with a period dividing t - s, never
-        retiring: bf has failed on every word of the cycle and is not run on
-        it again, and the passes left shrink mod t - s.  A row that runs out
-        of passes ends unconverged at d_max steps."""
-        cols, ss = np.array(self.H.cols_int, dtype=object), np.array(ss, dtype=object)
+        still live flips its argmax-Q bit.  Under the module's cycle rule, bf
+        is not run again on a caught cycle, having failed on all its words,
+        and a row out of passes ends unconverged at d_max steps."""
+        cols, ss = np.array(self.H.cols_int, dtype=object), np.array(bits_to_ints(S), dtype=object)
+        B, d_max = len(S), self.beam.d_max
         # the policy flips, then feedback's inner ones
-        flips, converged, steps = np.zeros_like(Y), np.zeros(len(Y), bool), np.zeros(len(Y), int)
-        live, left, cycling = np.arange(len(Y)), np.full(len(Y), self.beam.d_max), converged.copy()
-        saved, s = flips.copy(), 0  # the policy flips after pass s, by row
-        for t in range(1, self.beam.d_max + 1):
+        flips, converged = np.zeros((B, self.H.n), np.uint8), np.zeros(B, bool)
+        steps, live, left = np.zeros(B, int), np.arange(B), np.full(B, d_max)
+        cycling, saved, s = converged.copy(), flips.copy(), 0  # saved: the flips after pass s
+        for t in range(1, d_max + 1):
             steps[live] = t
             left[live] -= 1
             if self.kind == "feedback":
@@ -449,8 +449,7 @@ class Decoder:
                 flips[run[ok]] ^= inner[ok]
                 converged[run[ok]] = True
                 live = live[~converged[live]]
-            acts = np.concatenate([q.argmax(axis=1) for q in
-                                   _q_chunks(self.qsrc, ss[live].tolist())])
+            acts = self.qsrc.q_values_batch(ss[live].tolist()).argmax(axis=1)
             flips[live, acts] ^= 1
             ss[live] ^= cols[acts]
             converged[live] = ss[live] == 0
@@ -462,5 +461,5 @@ class Decoder:
             live = live[left[live] > 0]
             if not live.size:
                 break
-        steps[~converged] = self.beam.d_max
+        steps[~converged] = d_max
         return flips, converged, steps

@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synq import decoders
-from synq.automorphism import group_table
+from synq.automorphism import _necklace_rows, group_table
 from synq.channel import BscConfig, sample_errors
-from synq.codes import bits_to_int, int_to_bits, random_parity_check
+from synq.codes import bits_to_int, hamming_ball_syndromes, int_to_bits, random_parity_check
 from synq.decoders import (KINDS, BeamConfig, BitFlipConfig, CandidatePath,
                            DecodeResult, Decoder, ZeroQ, action_list_decode,
                            automorphism_list_decode, bf_decode_batch,
                            bit_flipping_decode, feedback_decode, greedy_decode,
                            _top_k)
+from synq.mdp import MdpConfig, SyndromeMdp, SyndromeSets
 from synq.neural import MlpNetwork
-from synq.tabular import QTable
+from synq.tabular import BallSampler, QTable, TrainConfig, train_q
 from conftest import (ball_reference, beam_reference, bf_batch_reference,
                       ensemble_reference, rng_for_tests)
 
@@ -665,7 +666,8 @@ def _few_rows_table(H, seed, rows):
     rng = rng_for_tests(seed)
     table = QTable(H.n, H.m)
     for _ in range(rows):
-        s = H.syndrome(sum(1 << int(i) for i in rng.choice(H.n, rng.integers(1, 3))))
+        s = H.syndrome(sum(1 << int(i) for i in rng.choice(H.n, rng.integers(1, 3),
+                                                            replace=False)))
         table.row(s)[:] = rng.standard_normal(H.n)
     return table
 
@@ -679,6 +681,9 @@ def _few_rows_table(H, seed, rows):
          max_iter=8)
 @example(code="small_qc", source="table", seed=3, B=8, rho=0.1, d_max=17, tau=2,
          max_iter=3)
+# a support drawn with replacement repeated bit n - 1 here, summing to 1 << n
+@example(code="small_qc", source="table", seed=310, B=8, rho=0.1, d_max=10, tau=2,
+         max_iter=8)
 def test_policy_batch_cycle_fast_forward_matches_the_scalar_loop(
         small_qc, tanner, code, source, seed, B, rho, d_max, tau, max_iter):
     # greedy and feedback rows that cycle stop early in the batch; each
@@ -744,3 +749,38 @@ def test_auto_list_builds_no_group_table(small_qc):
     Decoder("auto-list", qsrc, small_qc).decode_batch(
         sample_errors(BscConfig(0.1, 5), small_qc.n, 0, 6))
     assert group_table.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the ensemble roots its beams at shifted syndromes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("code", ["small_qc", "tanner"])
+def test_shifted_words_have_the_check_shifted_syndromes(request, code):
+    # the syndrome of a word shifted by sigma^delta is sigma^delta's check
+    # permutation of the word's syndrome: the ensemble's rows of sigma^-delta
+    # gather both, the word's bits and the syndrome's checks
+    H = request.getfixturevalue(code)
+    spec, Y = H.qc, sample_errors(BscConfig(0.1, 7), H.n, 0, 16)
+    for delta in range(spec.p):
+        var = _necklace_rows(spec.k_blocks, spec.p, 0, 1, -delta)
+        chk = _necklace_rows(spec.j, spec.p, 0, 1, -delta)
+        assert np.array_equal(H.syndrome_batch(Y[:, var]), H.syndrome_batch(Y)[:, chk])
+
+
+def test_auto_list_batch_matches_the_word_shifting_reference_on_tanner(tanner):
+    # the reference shifts every word and takes the shifted word's syndrome;
+    # with a w = 1 table a double error converges only through a shift that
+    # brings one of its bits into 0..4, the top five of an all-zero row
+    env = SyndromeMdp(tanner, MdpConfig(variant="truncated", w=1),
+                      SyndromeSets(ball=frozenset(hamming_ball_syndromes(tanner, 1))))
+    table = train_q(env, TrainConfig(episodes=60_000, seed=0), BallSampler(tanner, 1))
+    cfg = BeamConfig(k=5)
+    for seed in (0, 2):
+        E = sample_errors(BscConfig(0.02, seed), tanner.n, 0, 12)
+        flips, converged, steps = Decoder("auto-list", table, tanner, cfg).decode_batch(E)
+        for b, e in enumerate(E):
+            want = ensemble_reference(table, bits_to_int(e), tanner, cfg, range(tanner.qc.p))
+            assert (bool(converged[b]), bits_to_int(flips[b]), int(steps[b])) == want[:3]
+        assert converged[E.sum(axis=1) == 2].any()
