@@ -7,7 +7,8 @@ addition over GF(2), ``int.bit_count()`` is the Hamming weight.  The
 syndrome of an error pattern e is the XOR of the parity-check columns
 selected by the set bits of e.  This module holds the converters:
 `bits_to_int` and `int_to_bits` between packed ints and 0/1 vectors,
-`ints_to_bits` from packed ints to a 0/1 matrix, and
+`bits_to_ints` and `ints_to_bits` between packed ints and 0/1 matrices,
+`packed_rows` from a 0/1 matrix to one bytes key per row, and
 `ParityCheckMatrix.syndrome_batch` from (B, n) patterns to (B, m)
 syndromes.  Batches of error patterns in the other modules, and the DQN
 replay buffer's syndromes, are these uint8 rows.
@@ -24,6 +25,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,17 +51,24 @@ def int_to_bits(x: int, length: int) -> np.ndarray:
 def bits_to_ints(rows: np.ndarray) -> list[int]:
     """Pack each row of a 2-D 0/1 matrix into an int, as bits_to_int does.
 
-    The packed rows, zero-padded to whole 64-bit words (one word when there
-    are no columns), are read as little-endian words; word w of a row holds
-    its bits 64w to 64w + 63.
+    Rows of at most 64 columns are zero-padded to one little-endian 64-bit
+    word each (one word also when there are no columns); wider rows are
+    read from the bytes of `packed_rows`.
     """
+    rows = np.asarray(rows)
+    if rows.shape[1] > 64:
+        return list(map(int.from_bytes, packed_rows(rows), repeat("little")))
+    packed = np.packbits(rows != 0, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, 8 - packed.shape[1]))).view("<u8")[:, 0].tolist()
+
+
+def packed_rows(rows: np.ndarray) -> list[bytes]:
+    """Each row of a 2-D 0/1 matrix with at least one column as the bytes of
+    its little-endian packing (bit i of the row is bit i % 8 of byte
+    i // 8), so ``int.from_bytes(b, "little")`` is the row's bits_to_int;
+    equal rows give equal bytes, a cheap dict key."""
     packed = np.packbits(np.asarray(rows) != 0, axis=1, bitorder="little")
-    nbytes = packed.shape[1]
-    words = np.pad(packed, ((0, 0), (0, -nbytes % 8 if nbytes else 8))).view("<u8")
-    ints = words[:, 0].tolist()
-    for w in range(1, words.shape[1]):
-        ints = [x | y << 64 * w for x, y in zip(ints, words[:, w].tolist())]
-    return ints
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
 def ints_to_bits(xs, length: int) -> np.ndarray:

@@ -11,6 +11,13 @@ Decoders flip one code bit per action; the flip set is returned packed.
 `Decoder` runs any of the `KINDS` as one picklable callable, one packed word
 at a time or, through `Decoder.decode_batch`, over a (B, n) error matrix.
 
+Every kind's (flips, converged, steps) is a function of the syndrome alone:
+greedy, list and auto-list start from it, bit flipping's flips grow from
+it, and a feedback pass runs bit flipping on y ^ x, whose syndrome is
+s ^ syn(x).  So a batch decodes each distinct syndrome once, and a
+`SyndromeMemo` lets the calls of one run (one `sim.run_point` per worker)
+share the results of the syndromes met in its first MEMO_CAP nonzero rows.
+
 The batch loops iterate on each row's syndrome and its flips grown from
 zero, and a step of bit flipping or of a policy pass is a function of the
 flips alone.  They share one cycle rule: every live row's flips are saved
@@ -26,15 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from operator import xor
 
 import numpy as np
 
 from . import automorphism as am
-from .codes import ParityCheckMatrix, bits_to_ints, int_to_bits
+from .codes import ParityCheckMatrix, bits_to_ints, int_to_bits, packed_rows
 
 Q_CHUNK = 1024  # syndromes whose Q rows are read at once
+MEMO_CAP = 1 << 14  # nonzero rows, so syndromes, a SyndromeMemo stores at most
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +358,32 @@ def bf_decode_batch(
 # ---------------------------------------------------------------------------
 
 
+class SyndromeMemo(dict):
+    """The results of the syndromes one decoder has decoded, for the
+    `Decoder.decode_batch` calls of one run to share.
+
+    It maps the `packed_rows` key of each syndrome to its row of `results`,
+    a record array of (flips packed as `packed_rows` packs, converged,
+    steps).  A call hands out rows top, top + 1, ... to its nonzero rows in
+    turn, so one setdefault pass numbers its syndromes and a row's
+    syndrome is new exactly where it keeps its own number.  Rows from
+    MEMO_CAP on serve one call only, their syndromes decoded but not
+    stored, which bounds the memory held.
+    """
+
+    results, top = None, 0
+
+    def reserve(self, rows: int, n: int) -> None:
+        """Make room for `rows` rows past top for an n-bit code."""
+        if self.results is not None and self.top + rows <= len(self.results):
+            return
+        grown = np.empty(2 * (self.top + rows), [("flips", np.uint8, ((n + 7) // 8,)),
+                                                 ("converged", bool), ("steps", np.int64)])
+        if self.results is not None:
+            grown[:len(self.results)] = self.results
+        self.results = grown
+
+
 KINDS = ("greedy", "list", "bf", "feedback", "auto-list")
 
 
@@ -392,41 +426,66 @@ class Decoder:
             return feedback_decode(phi, self.qsrc, y, self.H, self.beam.d_max)
         return automorphism_list_decode(self.qsrc, y, self.H, self.beam)
 
-    def decode_batch(self, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def decode_batch(self, E: np.ndarray, memo: SyndromeMemo | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode each row of a (B, n) uint8 error matrix.
 
         Returns (flips (B, n) uint8, converged (B,) bool, steps (B,) int),
-        row b equal to what calling the decoder on row b gives.  Syndromes
-        are computed only for the rows with a set bit, and the rows with a
-        zero syndrome (zero rows and codewords) are done before any decoder
-        runs; the others go in groups of at most Q_CHUNK beam roots, which
-        bounds the paths held.
+        row b equal to what calling the decoder on row b gives.  A row's
+        result is a function of its syndrome alone (see the module
+        docstring), so rows with a zero syndrome (zero rows and codewords)
+        take no step, each distinct nonzero syndrome is decoded once, bit
+        flipping on the word of its first row, and the results are
+        scattered back to the rows.
+
+        `memo`, used with this decoder only, carries the results from call
+        to call, so that a syndrome met again in a later call is not
+        decoded again (see `SyndromeMemo`).  Fresh syndromes go in groups
+        of at most Q_CHUNK beam roots, which bounds the paths held.
         """
+        H = self.H
         E = np.ascontiguousarray(E, dtype=np.uint8)
-        if E.ndim != 2 or E.shape[1] != self.H.n:
+        if E.ndim != 2 or E.shape[1] != H.n:
             raise ValueError("error patterns must be (B, n)")
         flips, converged, steps = np.zeros_like(E), np.ones(len(E), bool), np.zeros(len(E), int)
         nonzero = np.flatnonzero(E.any(axis=1))
-        S = self.H.syndrome_batch(E[nonzero])
+        S = H.syndrome_batch(E[nonzero])
         keep = S.any(axis=1)
         nonzero, S = nonzero[keep], S[keep]
-        group = max(1, Q_CHUNK // self.H.qc.p) if self.kind == "auto-list" else Q_CHUNK
-        for lo in range(0, nonzero.size, group):
-            rows, S_rows = nonzero[lo:lo + group], S[lo:lo + group]
+        if not nonzero.size:
+            return flips, converged, steps
+        memo, keys = SyndromeMemo() if memo is None else memo, packed_rows(S)
+        top, rows = memo.top, np.arange(memo.top, memo.top + len(keys))
+        memo.reserve(len(keys), H.n)
+        ids = np.fromiter(map(memo.setdefault, keys, count(top)), np.intp, len(keys))
+        fresh = np.flatnonzero(ids == rows)  # the first row of each new syndrome
+        group = max(1, Q_CHUNK // H.qc.p) if self.kind == "auto-list" else Q_CHUNK
+        for lo in range(0, fresh.size, group):
+            b = fresh[lo:lo + group]
             if self.kind == "bf":
-                out = bf_decode_batch(E[rows], self.H, self.bf)
-            elif self.kind in ("greedy", "feedback"):
-                out = self._policy_batch(S_rows, E[rows] if self.kind == "feedback" else None)
-            elif self.kind == "list":
-                out = _beam(self.qsrc, bits_to_ints(S_rows), self.H, self.beam)
+                out = bf_decode_batch(E[nonzero[b]], H, self.bf)
+            elif self.kind == "auto-list":
+                out = _ensemble(self.qsrc, S[b], H, self.beam, range(H.qc.p))
             else:
-                out = _ensemble(self.qsrc, S_rows, self.H, self.beam, range(self.H.qc.p))
-            flips[rows], converged[rows], steps[rows] = out[:3]
+                ss = list(map(int.from_bytes, [keys[i] for i in b.tolist()], repeat("little")))
+                if self.kind == "list":
+                    out = _beam(self.qsrc, ss, H, self.beam)
+                else:
+                    out = self._policy_batch(ss, E[nonzero[b]] if self.kind == "feedback"
+                                             else None)
+            memo.results["flips"][rows[b]] = np.packbits(out[0], axis=1, bitorder="little")
+            memo.results["converged"][rows[b]], memo.results["steps"][rows[b]] = out[1], out[2]
+        rec = memo.results[ids]
+        flips[nonzero] = np.unpackbits(rec["flips"], axis=1, count=H.n, bitorder="little")
+        converged[nonzero], steps[nonzero] = rec["converged"], rec["steps"]
+        for b in fresh[rows[fresh] >= MEMO_CAP].tolist():  # decoded, but past the cap
+            del memo[keys[b]]
+        memo.top = min(top + len(keys), MEMO_CAP)
         return flips, converged, steps
 
-    def _policy_batch(self, S: np.ndarray, Y: np.ndarray | None):
-        """greedy_decode over at most Q_CHUNK rows of (B, m) syndromes S, or
-        feedback_decode over them and their words Y.
+    def _policy_batch(self, ss: list[int], Y: np.ndarray | None):
+        """greedy_decode over at most Q_CHUNK packed syndromes ss, or
+        feedback_decode over them and their (B, n) words Y.
 
         Pass t sets every live row's step to t.  For feedback it then runs
         bf_decode_batch on the live rows not caught in a cycle, each y plus
@@ -434,8 +493,8 @@ class Decoder:
         still live flips its argmax-Q bit.  Under the module's cycle rule, bf
         is not run again on a caught cycle, having failed on all its words,
         and a row out of passes ends unconverged at d_max steps."""
-        cols, ss = np.array(self.H.cols_int, dtype=object), np.array(bits_to_ints(S), dtype=object)
-        B, d_max = len(S), self.beam.d_max
+        cols, ss = np.array(self.H.cols_int, dtype=object), np.array(ss, dtype=object)
+        B, d_max = len(ss), self.beam.d_max
         # the policy flips, then feedback's inner ones
         flips, converged = np.zeros((B, self.H.n), np.uint8), np.zeros(B, bool)
         steps, live, left = np.zeros(B, int), np.arange(B), np.full(B, d_max)

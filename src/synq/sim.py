@@ -5,6 +5,11 @@ A decoder is any picklable object with `decode_batch(E) -> (flips,
 converged, steps)` over a (B, n) uint8 error matrix, usually a
 `decoders.Decoder`.  `GreedyDecoder` ... `AutomorphismDecoder` build one per
 kind; greedy and feedback keep the default of at most 10 policy steps.
+A `decoders.Decoder` decodes a frame as a function of its syndrome alone,
+so `run_point` hands it a fresh `decoders.SyndromeMemo`, and each worker
+its own copy: a syndrome is decoded once per point and worker (within
+the memo's first `decoders.MEMO_CAP` nonzero rows), and no result
+outlives the call.  Other decoders are called with the error matrix alone.
 
 Frames are processed in fixed-size batches; the noise of frame i depends
 only on (seed, i) (see `channel`), and a run stops after the first whole
@@ -128,12 +133,13 @@ def ordered_map(fn, shared: tuple, workers: int, chunksize: int = 1):
         yield partial(pool.map, _call, chunksize=chunksize)
 
 
-def _run_range(decoder, n: int, bsc: BscConfig,
+def _run_range(decoder, n: int, bsc: BscConfig, memo,
                span: tuple[int, int]) -> tuple[int, int]:
+    decode = decoder.decode_batch if memo is None else partial(decoder.decode_batch, memo=memo)
     fe = be = 0
     for lo in range(span[0], span[1], SLICE):
         E = sample_errors(bsc, n, lo, min(lo + SLICE, span[1]))
-        flips, converged, _ = decoder.decode_batch(E)
+        flips, converged, _ = decode(E)
         wrong = flips != E
         fe += int(np.count_nonzero(~converged | wrong.any(axis=1)))
         be += int(np.count_nonzero(wrong))
@@ -161,8 +167,10 @@ def run_point(decoder, n: int, rho: float, cfg: SimConfig) -> SimPoint:
         (lo, min(lo + cfg.batch, cfg.max_frames))
         for lo in range(0, cfg.max_frames, cfg.batch)
     ]
+    # a fresh memo per call, and one copy of it per worker
+    memo = dec.SyndromeMemo() if isinstance(decoder, dec.Decoder) else None
     frames = fe = be = 0
-    with ordered_map(_run_range, (decoder, n, bsc), cfg.workers) as run:
+    with ordered_map(_run_range, (decoder, n, bsc, memo), cfg.workers) as run:
         for (dfe, dbe), span in zip(run(spans), spans):
             frames += span[1] - span[0]
             fe += dfe

@@ -784,3 +784,131 @@ def test_auto_list_batch_matches_the_word_shifting_reference_on_tanner(tanner):
             want = ensemble_reference(table, bits_to_int(e), tanner, cfg, range(tanner.qc.p))
             assert (bool(converged[b]), bits_to_int(flips[b]), int(steps[b])) == want[:3]
         assert converged[E.sum(axis=1) == 2].any()
+
+
+# ---------------------------------------------------------------------------
+# each distinct syndrome decoded once, and the memo across calls
+# ---------------------------------------------------------------------------
+
+
+class CountingQ(RandomQ):
+    """RandomQ that counts the Q rows read through q_values_batch."""
+
+    def __init__(self, n, seed):
+        super().__init__(n, seed)
+        self.rows = 0
+
+    def q_values_batch(self, states):
+        self.rows += len(states)
+        return super().q_values_batch(states)
+
+
+def _block_codeword(H, rng):
+    # every check has one bit in each column block, so two whole blocks
+    # make a codeword
+    blocks = rng.choice(H.qc.k_blocks, 2, replace=False)
+    return np.concatenate([np.full(H.qc.p, b in blocks, np.uint8)
+                           for b in range(H.qc.k_blocks)])
+
+
+def _syndrome_sharing_rows(H, seed, B, rho):
+    """B channel words, then copies of them: repeated, plus a codeword (the
+    same syndrome from another word) and cyclically shifted; in a random
+    order, with zero rows among them."""
+    rng = rng_for_tests(seed)
+    Y = sample_errors(BscConfig(rho, seed), H.n, 0, B)
+    rows = [Y, np.zeros((1, H.n), np.uint8)]
+    for _ in range(2 * B):
+        y = Y[rng.integers(B)]
+        how = rng.integers(3)
+        if how == 1:
+            y = y ^ _block_codeword(H, rng)
+        elif how == 2:
+            y = y[_necklace_rows(H.qc.k_blocks, H.qc.p, 0, 1, int(rng.integers(1, H.qc.p)))]
+        rows.append(y[None])
+    E = np.concatenate(rows)
+    return E[rng.permutation(len(E))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(code=st.sampled_from(["small_qc", "tanner"]),
+       source=st.sampled_from(["random", "onehot", "mlp"]), seed=st.integers(0, 2**16),
+       B=st.integers(1, 6), rho=st.sampled_from([0.02, 0.05, 0.15]),
+       k=st.integers(1, 3), d_max=st.integers(1, 4), tau=st.integers(1, 3),
+       max_iter=st.integers(1, 10))
+def test_decode_batch_on_rows_sharing_syndromes_matches_the_scalar_decoder(
+        small_qc, tanner, code, source, seed, B, rho, k, d_max, tau, max_iter):
+    H = small_qc if code == "small_qc" else tanner
+    E = _syndrome_sharing_rows(H, seed, B, rho)
+    qsrc = _q_source(source, H, seed)
+    for kind in KINDS:
+        decoder = Decoder(kind, qsrc, H, BeamConfig(k, d_max), BitFlipConfig(tau, max_iter))
+        flips, converged, steps = decoder.decode_batch(E)
+        for b, e in enumerate(E):
+            want = decoder(bits_to_int(e))
+            assert (bits_to_int(flips[b]), bool(converged[b]), int(steps[b])) == (
+                want.flips, want.converged, want.steps), (kind, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_primed_memo_gives_the_output_of_no_memo(small_qc, kind):
+    E = _syndrome_sharing_rows(small_qc, 5, 8, 0.1)
+    first, second = E[:20], E[10:]  # they overlap in E[10:20]
+    decoder = Decoder(kind, RandomQ(small_qc.n, 2), small_qc)
+    memo = decoders.SyndromeMemo()
+    for X in (first, second):
+        got, want = decoder.decode_batch(X, memo), decoder.decode_batch(X)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert 0 < len(memo) == len(set(small_qc.syndrome(bits_to_int(e)) for e in E) - {0})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_memo_at_its_cap_stores_nothing_more(small_qc, kind, monkeypatch):
+    monkeypatch.setattr(decoders, "MEMO_CAP", 3)
+    E = _syndrome_sharing_rows(small_qc, 6, 8, 0.1)
+    decoder = Decoder(kind, RandomQ(small_qc.n, 3), small_qc)
+    memo = decoders.SyndromeMemo()
+    for lo in range(0, len(E), 5):
+        X = E[lo:lo + 5]
+        got, want = decoder.decode_batch(X, memo), decoder.decode_batch(X)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(memo) <= 3
+    assert len(memo) == 3
+
+
+def test_rows_sharing_a_syndrome_are_decoded_once(tanner, monkeypatch):
+    # y, y plus a codeword, and y again share one syndrome: one root for
+    # the beam, one word for bit flipping; a memo carries it to the next call
+    y = sample_errors(BscConfig(0.05, 1), tanner.n, 0, 1)[0]
+    assert y.any()
+    E = np.stack([y, y ^ _block_codeword(tanner, rng_for_tests(0)), y])
+    qsrc = CountingQ(tanner.n, 0)
+    decoder = Decoder("list", qsrc, tanner)
+    decoder.decode_batch(E[:1])
+    alone, qsrc.rows = qsrc.rows, 0
+    decoder.decode_batch(E)
+    assert qsrc.rows == alone > 0
+    memo, qsrc.rows = decoders.SyndromeMemo(), 0
+    decoder.decode_batch(E, memo)
+    decoder.decode_batch(E[::-1], memo)
+    assert qsrc.rows == alone
+    seen = []
+
+    def recording(X, H, cfg):
+        seen.append(len(X))
+        return bf_decode_batch(X, H, cfg)
+
+    monkeypatch.setattr(decoders, "bf_decode_batch", recording)
+    Decoder("bf", None, tanner).decode_batch(E)
+    assert seen == [1]
+
+
+def test_decode_batch_keeps_no_memo_of_its_own(small_qc):
+    # without a memo, a second call decodes everything again
+    qsrc = CountingQ(small_qc.n, 1)
+    decoder = Decoder("greedy", qsrc, small_qc)
+    E = _syndrome_sharing_rows(small_qc, 7, 6, 0.1)
+    decoder.decode_batch(E)
+    once, qsrc.rows = qsrc.rows, 0
+    decoder.decode_batch(E)
+    assert qsrc.rows == once > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synq.channel import BscConfig, sample_error
+from synq.channel import BscConfig, sample_error, sample_errors
 from synq.decoders import KINDS, BeamConfig, BitFlipConfig, DecodeResult, Decoder
 from synq.neural import MlpNetwork
 from synq.sim import (AutomorphismDecoder, BeamDecoder, BfDecoder,
@@ -259,3 +259,19 @@ def test_write_curve_gnuplot_style(hamming, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# rho frames")
     assert len(lines[1].split()) == 8
+
+
+def test_run_point_decodes_each_syndrome_once_and_keeps_no_memo(small_qc):
+    # the memo reaches across the slices of one point: its Q rows are those
+    # of one call over all the frames; and a second point reads them again
+    from test_decoders import CountingQ
+    qsrc = CountingQ(small_qc.n, 4)
+    decoder = Decoder("greedy", qsrc, small_qc)
+    cfg = SimConfig(max_frames=400, target_errors=10**6, batch=50, seed=3)
+    first = run_point(decoder, small_qc.n, 0.04, cfg)
+    rows, qsrc.rows = qsrc.rows, 0
+    assert run_point(decoder, small_qc.n, 0.04, cfg) == first
+    assert qsrc.rows == rows > 0
+    qsrc.rows = 0
+    decoder.decode_batch(sample_errors(BscConfig(0.04, 3), small_qc.n, 0, 400))
+    assert qsrc.rows == rows

@@ -7,11 +7,14 @@
 For each tree and workload a child process imports synq and the benchmark
 from that tree (bench/ is only read), sets the workload up at FULL sizes and
 the given seed, and draws the first frames of its channel sample as one
-(B, n) error matrix.  Each of the seven decoders then runs `decode_batch`
-on its own frame count `repeats` times.  One line per decoder gives, per
-tree, the best time in ms and the first 16 hex digits of a SHA-256 of its
-(flips, converged, steps); trees whose digests agree decode the sample bit
-for bit alike.  The BLAS thread count is whatever the environment sets.
+(B, n) error matrix.  Each of the seven decoders then decodes its own frame
+count `repeats` times as `sim.run_point` does: `decode_batch` on spans of
+`SimConfig().batch` frames, with one fresh `decoders.SyndromeMemo` per
+decoder run in trees that have one.  One line per decoder gives its nonzero
+and distinct syndrome counts, and per tree the best time in ms and the
+first 16 hex digits of a SHA-256 of its (flips, converged, steps); trees
+whose digests agree decode the sample bit for bit alike.  The BLAS thread
+count is whatever the environment sets.
 """
 
 from __future__ import annotations
@@ -31,23 +34,31 @@ def child(tree: Path, workload: str, seed: int, repeats: int) -> dict:
     import numpy as np
     import workloads
     from synq.channel import BscConfig, sample_errors
+    from synq import decoders
+    from synq.sim import SimConfig
 
     wl = workloads.WORKLOADS[workload]
     st = wl.setup(seed, workloads.FULL)
     frames = st.data["frames"]
     E = sample_errors(BscConfig(wl.rho, seed), st.H.n, 0, max(frames.values()))
+    span = SimConfig().batch
+    memo = getattr(decoders, "SyndromeMemo", None)  # None in trees without a memo
     out = {}
     for name in workloads.DECODERS:
         rows, decoder = E[:frames[name]], st.data["decoders"][name]
         best = float("inf")
         for _ in range(repeats):
+            kw = {} if memo is None else {"memo": memo()}
             t0 = time.perf_counter()
-            got = decoder.decode_batch(rows)
+            got = [decoder.decode_batch(rows[lo:lo + span], **kw)
+                   for lo in range(0, len(rows), span)]
             best = min(best, time.perf_counter() - t0)
         h = hashlib.sha256()
-        for a in got:
-            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
-        out[name] = [best, h.hexdigest()[:16]]
+        for a in zip(*got):
+            h.update(np.ascontiguousarray(np.concatenate(a), dtype=np.int64).tobytes())
+        S = st.H.syndrome_batch(rows)
+        S = S[S.any(axis=1)]
+        out[name] = [best, h.hexdigest()[:16], len(S), len(np.unique(S, axis=0))]
     return out
 
 
@@ -76,8 +87,10 @@ def main(argv=None) -> int:
         for name in results[0]:
             digests = {r[name][1] for r in results}
             same &= len(digests) == 1
+            counts = f"{results[0][name][2]:6d} nonzero {results[0][name][3]:6d} distinct"
             cells = "  ".join(f"{r[name][0] * 1e3:9.2f} ms {r[name][1]}" for r in results)
-            print(f"  {name:16s} {cells}  {'same' if len(digests) == 1 else 'DIFFERENT'}")
+            print(f"  {name:16s} {counts}  {cells}  "
+                  f"{'same' if len(digests) == 1 else 'DIFFERENT'}")
     return 0 if same else 1
 
 
